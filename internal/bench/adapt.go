@@ -96,11 +96,11 @@ type AdaptCommRow struct {
 // AdaptReport is the full adaptive-ladder measurement, serialized to
 // BENCH_adapt.json by gdsxbench -adapt.
 type AdaptReport struct {
-	GoVersion string             `json:"go_version"`
-	Scale     string             `json:"scale"`
-	Threads   int                `json:"threads"`
-	Reps      int                `json:"reps"`
-	Sampling  []AdaptSampleRow   `json:"sampling"`
+	GoVersion string           `json:"go_version"`
+	Scale     string           `json:"scale"`
+	Threads   int              `json:"threads"`
+	Reps      int              `json:"reps"`
+	Sampling  []AdaptSampleRow `json:"sampling"`
 	// SampleGeomean is the geomean check cut over the sampling rows —
 	// the scalar the CI smoke gate tracks (higher is better).
 	SampleGeomean float64            `json:"sample_geomean"`

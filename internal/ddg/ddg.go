@@ -82,7 +82,13 @@ func (g *Graph) AddSite(site int) { g.Sites[site]++ }
 
 // AddEdge records one dynamic occurrence of a dependence.
 func (g *Graph) AddEdge(src, dst int, kind DepKind, carried bool) {
-	g.edges[Edge{Src: src, Dst: dst, Kind: kind, Carried: carried}]++
+	g.AddEdgeN(src, dst, kind, carried, 1)
+}
+
+// AddEdgeN records n dynamic occurrences of a dependence at once, the
+// way the profiler flushes a run of identical edges.
+func (g *Graph) AddEdgeN(src, dst int, kind DepKind, carried bool, n int64) {
+	g.edges[Edge{Src: src, Dst: dst, Kind: kind, Carried: carried}] += n
 }
 
 // Edges returns the distinct dependence edges in a deterministic order.

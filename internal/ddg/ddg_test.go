@@ -1,7 +1,9 @@
 package ddg
 
 import (
+	"encoding/json"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -220,6 +222,35 @@ func TestEdgesDeterministic(t *testing.T) {
 	}
 	if g.Count(es[0]) != 1 {
 		t.Fatalf("count = %d", g.Count(es[0]))
+	}
+}
+
+func TestAddEdgeNCounts(t *testing.T) {
+	g := NewGraph(1)
+	g.AddEdgeN(4, 5, Output, true, 6)
+	g.AddEdge(4, 5, Output, true)
+	g.AddEdgeN(4, 5, Output, false, 2)
+	if n := g.Count(Edge{Src: 4, Dst: 5, Kind: Output, Carried: true}); n != 7 {
+		t.Errorf("carried count = %d, want 7", n)
+	}
+	if n := g.Count(Edge{Src: 4, Dst: 5, Kind: Output}); n != 2 {
+		t.Errorf("independent count = %d, want 2", n)
+	}
+}
+
+func TestJSONExposedSorted(t *testing.T) {
+	g := NewGraph(1)
+	for _, s := range []int{9, 2, 7, 4, 1, 8} {
+		g.UpwardExposed[s] = true
+		g.DownwardExposed[s+10] = true
+	}
+	data, err := json.Marshal(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := `"upward_exposed":[1,2,4,7,8,9],"downward_exposed":[11,12,14,17,18,19]`
+	if !strings.Contains(string(data), want) {
+		t.Errorf("JSON %s does not list the exposed sites in order", data)
 	}
 }
 

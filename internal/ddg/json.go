@@ -11,6 +11,7 @@ package ddg
 import (
 	"encoding/json"
 	"fmt"
+	"sort"
 )
 
 // jsonGraph is the serialized form of a Graph.
@@ -44,6 +45,8 @@ func (g *Graph) MarshalJSON() ([]byte, error) {
 	for s := range g.DownwardExposed {
 		jg.DownwardExposed = append(jg.DownwardExposed, s)
 	}
+	sort.Ints(jg.UpwardExposed)
+	sort.Ints(jg.DownwardExposed)
 	for _, e := range g.Edges() {
 		jg.Edges = append(jg.Edges, jsonEdge{
 			Src: e.Src, Dst: e.Dst, Kind: e.Kind.String(),

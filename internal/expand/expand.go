@@ -286,6 +286,59 @@ func (s slot) String() string {
 	}
 }
 
+// promotedSlots returns the promoted slots in a fixed order. Code that
+// emits declarations from them must use it rather than range over the
+// promote map, or the output would depend on map iteration order.
+func (p *pass) promotedSlots() []slot {
+	out := make([]slot, 0, len(p.promote))
+	for s := range p.promote {
+		out = append(out, s)
+	}
+	sort.Slice(out, func(i, j int) bool { return slotLess(out[i], out[j]) })
+	return out
+}
+
+// slotLess orders variables by declaration position, then struct fields
+// by struct name and field index, then function returns by name.
+func slotLess(a, b slot) bool {
+	rank := func(s slot) int {
+		switch {
+		case s.sym != nil:
+			return 0
+		case s.field != nil:
+			return 1
+		}
+		return 2
+	}
+	if ra, rb := rank(a), rank(b); ra != rb {
+		return ra < rb
+	}
+	switch {
+	case a.sym != nil:
+		pa, pb := declPos(a.sym), declPos(b.sym)
+		if pa.Line != pb.Line {
+			return pa.Line < pb.Line
+		}
+		if pa.Col != pb.Col {
+			return pa.Col < pb.Col
+		}
+		return a.sym.Name < b.sym.Name
+	case a.field != nil:
+		if a.owner.Name != b.owner.Name {
+			return a.owner.Name < b.owner.Name
+		}
+		return a.field.Index < b.field.Index
+	}
+	return a.fn.Name < b.fn.Name
+}
+
+func declPos(sym *ast.Symbol) token.Pos {
+	if sym.Decl == nil {
+		return token.Pos{}
+	}
+	return sym.Decl.P
+}
+
 func (p *pass) run() error {
 	p.collectBodyDecls()
 	if err := p.computeExpansionSet(); err != nil {

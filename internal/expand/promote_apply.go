@@ -278,7 +278,7 @@ func (p *pass) idxExprFor(site int) ast.Expr {
 // mutatePromotedDecls swaps the declared types of promoted slots to
 // their fat forms and relayouts affected structs.
 func (p *pass) mutatePromotedDecls() error {
-	for s := range p.promote {
+	for _, s := range p.promotedSlots() {
 		switch {
 		case s.sym != nil:
 			if s.sym.Type.Kind != ctypes.Ptr {

@@ -147,8 +147,8 @@ type Monitor struct {
 	merged []interp.Access
 	seqs   []int32
 	segs   []logSeg
-	raw    shadow
-	can    shadow
+	raw    epochShadow
+	can    epochShadow
 	epoch  uint32
 
 	// reports accumulates every violation the monitor detected, in

@@ -5,13 +5,7 @@ import (
 
 	"gdsx/internal/ddg"
 	"gdsx/internal/interp"
-)
-
-// Shadow pages, byte-granular like the profiler's.
-const (
-	pageBits = 12
-	pageSize = 1 << pageBits
-	pageMask = pageSize - 1
+	"gdsx/internal/shadow"
 )
 
 // shadowCell stores 1-based indices into the merged event slice of the
@@ -28,29 +22,16 @@ type shadowCell struct {
 	ep       uint32
 }
 
-// shadow is a flat page table over the simulated address space
-// (observed addresses are bounds-checked before the hook fires, so
-// they index the table directly). Pages allocate on first touch and
-// live for the monitor's lifetime; the epoch tag makes prior regions'
-// contents invisible, so a replay touches exactly the bytes it checks
-// and pays nothing to reset state between regions.
-type shadow struct {
-	pages []*[pageSize]shadowCell
+// epochShadow is a byte-granular shadow whose pages live for the
+// monitor's lifetime; the epoch tag makes prior regions' contents
+// invisible, so a replay touches exactly the bytes it checks and pays
+// nothing to reset state between regions.
+type epochShadow struct {
+	shadow.Table[shadowCell]
 }
 
-func (s *shadow) cell(addr int64, ep uint32) *shadowCell {
-	idx := addr >> pageBits
-	if idx >= int64(len(s.pages)) {
-		grown := make([]*[pageSize]shadowCell, idx+1)
-		copy(grown, s.pages)
-		s.pages = grown
-	}
-	p := s.pages[idx]
-	if p == nil {
-		p = new([pageSize]shadowCell)
-		s.pages[idx] = p
-	}
-	c := &p[addr&pageMask]
+func (s *epochShadow) cell(addr int64, ep uint32) *shadowCell {
+	c := &s.Page(addr)[addr&shadow.PageMask]
 	if c.ep != ep {
 		*c = shadowCell{ep: ep}
 	}
@@ -144,7 +125,8 @@ func (m *Monitor) replay() *Report {
 	m.epoch++
 	if m.epoch == 0 {
 		// Epoch wrap: drop the pages so a stale tag cannot collide.
-		m.raw.pages, m.can.pages = nil, nil
+		m.raw.Reset()
+		m.can.Reset()
 		m.epoch = 1
 	}
 	ep := m.epoch

@@ -93,6 +93,9 @@ type Memory struct {
 	liveData      atomic.Int64
 	highWaterData atomic.Int64
 
+	// gen is the live-block generation (see Gen).
+	gen atomic.Uint64
+
 	// maxAddr is the highest address any allocation has ever reached,
 	// the watermark that bounds Reset's data wipe: a pooled memory is
 	// cleared up to here rather than over its full capacity.
@@ -276,6 +279,7 @@ func (m *Memory) finishAlloc(base, size int64, label string) {
 	atomicMax(&m.highWater, live)
 	atomicMax(&m.maxAddr, base+size)
 	m.allocs.Add(1)
+	m.gen.Add(1)
 	if label != "stack" {
 		atomicMax(&m.highWaterData, m.liveData.Add(size))
 	}
@@ -390,6 +394,7 @@ func (m *Memory) Free(base int64) error {
 		m.freeList = insertFreeSorted(m.freeList, Block{Base: b.Base, Size: b.Size})
 		m.mu.Unlock()
 	}
+	m.gen.Add(1)
 	live := m.liveBytes.Add(-b.Size)
 	if b.Label != "stack" {
 		m.liveData.Add(-b.Size)
@@ -524,6 +529,12 @@ func (m *Memory) Block(addr int64) (Block, bool) {
 	return blockAt(m.live, addr)
 }
 
+// Gen returns the live-block generation, a counter that every
+// allocation, free, reallocation, Reset and Rollback advances. A result
+// of Block stays valid for as long as Gen returns the same value, which
+// lets a caller that looks up the same block repeatedly cache it.
+func (m *Memory) Gen() uint64 { return m.gen.Load() }
+
 // Stats reports allocator statistics.
 type Stats struct {
 	Live      int64 // bytes currently allocated
@@ -596,6 +607,7 @@ func (m *Memory) Reset() {
 	m.failAt.Store(0)
 	m.snap = nil
 	m.obs = nil
+	m.gen.Add(1)
 }
 
 // Bytes returns the n bytes at addr as a slice aliasing the memory.

@@ -88,6 +88,41 @@ func TestBlockLookupInterior(t *testing.T) {
 	}
 }
 
+// TestGenTracksLiveBlocks checks that every change to the live-block
+// index advances Gen — sequential and arena allocation, realloc, free,
+// rollback and Reset — and that reads, writes and lookups do not.
+func TestGenTracksLiveBlocks(t *testing.T) {
+	m := New(1 << 20)
+	gen := m.Gen()
+	changes := func(what string, f func() error) {
+		t.Helper()
+		if err := f(); err != nil {
+			t.Fatalf("%s: %v", what, err)
+		}
+		if g := m.Gen(); g == gen {
+			t.Errorf("%s left Gen at %d", what, g)
+		} else {
+			gen = g
+		}
+	}
+	var a, b int64
+	changes("alloc", func() (err error) { a, err = m.Alloc(16, 1, ""); return })
+	changes("arena alloc", func() (err error) { b, err = m.AllocOn(0, 16, 2, ""); return })
+	m.Store8(a, 7)
+	_ = m.Load8(a)
+	m.Memcpy(b, a, 8)
+	if _, ok := m.Block(a + 4); !ok || m.Gen() != gen {
+		t.Errorf("accesses and lookups moved Gen from %d to %d", gen, m.Gen())
+	}
+	changes("realloc", func() (err error) { a, err = m.Realloc(a, 64, 3); return })
+	changes("free", func() error { return m.Free(a) })
+	changes("arena free", func() error { return m.Free(b) })
+	s := m.BeginSnapshot()
+	changes("alloc in snapshot", func() (err error) { _, err = m.Alloc(32, 4, ""); return })
+	changes("rollback", func() error { m.Rollback(s); return nil })
+	changes("reset", func() error { m.Reset(); return nil })
+}
+
 func TestRealloc(t *testing.T) {
 	m := New(1 << 14)
 	a, _ := m.Alloc(32, 3, "")

@@ -208,6 +208,7 @@ func (m *Memory) Rollback(s *Snapshot) (pages int, bytes int64) {
 		sh.slabLo, sh.slabHi = s.shards[i].slabLo, s.shards[i].slabHi
 		sh.mu.Unlock()
 	}
+	m.gen.Add(1)
 	return len(s.st.pages), s.st.bytes
 }
 

@@ -14,6 +14,21 @@
 // side is exact) and cannot flip a class between private and shared,
 // because the reads it merges are already related by loop-independent
 // flow dependences on the same address.
+//
+// Every access of the run goes through the hooks, so they touch no Go
+// map per byte. The shadow is a flat page table indexed by address
+// (package shadow), walked one page span per access, and a run of
+// bytes with identical history is classified once. Site counts,
+// definition counts, exposed flags and definition-site membership are
+// slices indexed by access ID, folded into the Graph's maps once after
+// the run. Each (destination site, kind, carried) slot keeps the run of
+// identical edges it is extending, so the bytes of one access and the
+// repeated executions of one site cost one Graph.AddEdgeN per run.
+// Touched origins are remembered per site as the last two blocks seen,
+// for as long as the memory's live-block generation (mem.Memory.Gen)
+// stays unchanged. Callers that profile several loops can pass one
+// arena in the options' Memory and Reset it between loops, as
+// gdsx.Transform does.
 package profile
 
 import (
@@ -22,7 +37,9 @@ import (
 	"gdsx/internal/ast"
 	"gdsx/internal/ddg"
 	"gdsx/internal/interp"
+	"gdsx/internal/mem"
 	"gdsx/internal/sema"
+	"gdsx/internal/shadow"
 )
 
 // Origin identifies the data structure an access touched: a heap
@@ -71,37 +88,16 @@ type Result struct {
 	Run interp.Result
 }
 
-// shadow cells track the last writer and reader of each byte.
+// stamp names one execution of an access site: the site and the loop
+// instance and iteration it ran in. Instance 0 means outside every
+// instance of the target loop.
+type stamp struct {
+	site, inst, iter int32
+}
+
+// cell is the shadow of one byte: its last writer and last reader.
 type cell struct {
-	wSite int32
-	wInst int32
-	wIter int32
-	rSite int32
-	rInst int32
-	rIter int32
-}
-
-const (
-	pageShift = 12
-	pageSize  = 1 << pageShift
-	pageMask  = pageSize - 1
-)
-
-type shadow struct {
-	pages map[int64]*[pageSize]cell
-}
-
-func (s *shadow) page(addr int64) *[pageSize]cell {
-	p := s.pages[addr>>pageShift]
-	if p == nil {
-		p = new([pageSize]cell)
-		s.pages[addr>>pageShift] = p
-	}
-	return p
-}
-
-func (s *shadow) cell(addr int64) *cell {
-	return &s.page(addr)[addr&pageMask]
+	w, r stamp
 }
 
 // DefSites returns the definition access sites of a checked program:
@@ -130,167 +126,303 @@ func Loop(prog *ast.Program, info *sema.Info, loopID int, opts interp.Options) (
 		Graph:   ddg.NewGraph(loopID),
 		Touched: map[int]map[Origin]bool{},
 	}
-	sh := &shadow{pages: map[int64]*[pageSize]cell{}}
-
-	// Definition sites (declarations and allocations) kill the shadow
-	// history of their bytes: a recycled stack slot or heap address is
-	// a fresh object, not a dependence on its previous tenant.
-	defSite := DefSites(info)
-
-	var (
-		inLoop   bool
-		instance int32 // current loop instance, starting at 1
-		iter     int32 // current 0-based iteration within the instance
-	)
-
-	opts.NumThreads = 1
-	var m *interp.Machine
-
-	origin := func(addr int64) Origin {
-		b, ok := m.Mem().Block(addr)
-		if !ok {
-			return Origin{Kind: OriginOther}
-		}
-		switch {
-		case b.Site > 0:
-			return Origin{Kind: OriginHeap, Site: b.Site}
-		case len(b.Label) > 7 && b.Label[:7] == "global ":
-			return Origin{Kind: OriginGlobal, Name: b.Label[7:]}
-		case b.Label == "stack":
-			return Origin{Kind: OriginStack}
-		}
-		return Origin{Kind: OriginOther}
-	}
-
-	touch := func(site int, addr int64) {
-		set := res.Touched[site]
-		if set == nil {
-			set = map[Origin]bool{}
-			res.Touched[site] = set
-		}
-		set[origin(addr)] = true
-	}
-
-	g := res.Graph
+	p := newProfiler(res, prog.NumAccesses, DefSites(info))
 	hooks := &interp.Hooks{
 		LoopEnter: func(id int) {
 			if id == loopID {
-				inLoop = true
-				instance++
-				iter = -1 // LoopIter fires before the first body execution
+				p.inLoop = true
+				p.instance++
+				p.iter = -1 // LoopIter fires before the first body execution
 			}
 		},
 		LoopIter: func(id int, it int64) {
 			if id == loopID {
-				iter = int32(it)
+				p.iter = int32(it)
+				res.Iterations++
 			}
 		},
 		LoopExit: func(id int) {
 			if id == loopID {
-				inLoop = false
+				p.inLoop = false
 			}
 		},
-		Load: func(site int, addr, size int64) {
-			if site == 0 {
-				return
-			}
-			if !inLoop {
-				// A read after the loop: any value last written inside
-				// some instance makes that store downwards-exposed.
-				for i := int64(0); i < size; i++ {
-					c := sh.cell(addr + i)
-					if c.wSite != 0 && c.wInst > 0 {
-						g.DownwardExposed[int(c.wSite)] = true
-					}
-					c.rSite = int32(site)
-					c.rInst = 0
-					c.rIter = 0
-				}
-				return
-			}
-			g.AddSite(site)
-			touch(site, addr)
-			for i := int64(0); i < size; i++ {
-				c := sh.cell(addr + i)
-				switch {
-				case c.wSite == 0 || c.wInst != instance:
-					// Value comes from outside this loop instance.
-					g.UpwardExposed[site] = true
-					if c.wSite != 0 && c.wInst > 0 {
-						// ... and from a store of an earlier instance:
-						// that store's value survived the loop exit.
-						g.DownwardExposed[int(c.wSite)] = true
-					}
-				case c.wIter == iter:
-					g.AddEdge(int(c.wSite), site, ddg.Flow, false)
-				default:
-					g.AddEdge(int(c.wSite), site, ddg.Flow, true)
-				}
-				c.rSite = int32(site)
-				c.rInst = instance
-				c.rIter = iter
-			}
-		},
-		Store: func(site int, addr, size int64) {
-			if site == 0 {
-				return
-			}
-			if defSite[site] {
-				wInst, wIter := int32(0), int32(0)
-				if inLoop {
-					wInst, wIter = instance, iter
-					g.Defs[site]++
-				}
-				for i := int64(0); i < size; i++ {
-					c := sh.cell(addr + i)
-					*c = cell{wSite: int32(site), wInst: wInst, wIter: wIter}
-				}
-				return
-			}
-			if !inLoop {
-				for i := int64(0); i < size; i++ {
-					c := sh.cell(addr + i)
-					c.wSite = int32(site)
-					c.wInst = 0
-					c.wIter = 0
-				}
-				return
-			}
-			g.AddSite(site)
-			touch(site, addr)
-			for i := int64(0); i < size; i++ {
-				c := sh.cell(addr + i)
-				// Anti dependence from the last reader.
-				if c.rSite != 0 && c.rInst == instance {
-					g.AddEdge(int(c.rSite), site, ddg.Anti, c.rIter != iter)
-				}
-				// Output dependence from the last writer.
-				if c.wSite != 0 && c.wInst == instance {
-					g.AddEdge(int(c.wSite), site, ddg.Output, c.wIter != iter)
-				}
-				c.wSite = int32(site)
-				c.wInst = instance
-				c.wIter = iter
-			}
-		},
+		Load:  p.load,
+		Store: p.store,
 	}
-
-	// Count iterations of the target loop.
-	baseIter := hooks.LoopIter
-	hooks.LoopIter = func(id int, it int64) {
-		baseIter(id, it)
-		if id == loopID {
-			res.Iterations++
-		}
-	}
-
+	opts.NumThreads = 1
 	opts.Hooks = hooks
 	opts.ForceSequential = true
-	m = interp.New(prog, info, opts)
+	m := interp.New(prog, info, opts)
+	p.mem = m.Mem()
 	r, err := m.Run()
 	if err != nil {
 		return nil, err
 	}
+	p.finish()
 	res.Run = r
 	return res, nil
+}
+
+// profiler is the state of one profiling run. The hooks touch only the
+// shadow pages and dense tables indexed by access-site ID; the Graph's
+// maps are filled once, by finish.
+type profiler struct {
+	res *Result
+	mem *mem.Memory
+	sh  shadow.Table[cell]
+
+	inLoop   bool
+	instance int32 // current loop instance, starting at 1
+	iter     int32 // current 0-based iteration within the instance
+
+	// Per-site tables, indexed by access ID (1..NumAccesses).
+	isDef    []bool  // definition sites (see DefSites)
+	sites    []int64 // executions inside the loop (Graph.Sites)
+	defs     []int64 // definition executions inside the loop (Graph.Defs)
+	up, down []bool  // Graph.UpwardExposed, Graph.DownwardExposed
+	touched  []touchMemo
+	// pending holds the current run of identical edges per (dst, kind,
+	// carried), indexed by edgeSlot: the bytes of one access and the
+	// repeated executions of one site mostly repeat one edge, and a
+	// run costs one Graph update when it ends.
+	pending []edgeRun
+}
+
+// touchMemo remembers the last two blocks a site touched, most recent
+// first: while the memory's live-block generation is unchanged, any
+// address inside one of them has an origin already recorded for the
+// site. Two entries cover a site that alternates between two blocks,
+// such as a helper called on a source and a destination buffer.
+type touchMemo struct {
+	gen    uint64
+	blocks [2]blockRange
+}
+
+type blockRange struct{ lo, hi int64 }
+
+func (b blockRange) has(addr int64) bool { return b.lo <= addr && addr < b.hi }
+
+// edgeRun is n occurrences of the edge from src to the slot's site.
+type edgeRun struct {
+	src int32
+	n   int64
+}
+
+func newProfiler(res *Result, numAccesses int, defSites map[int]bool) *profiler {
+	n := numAccesses + 1
+	p := &profiler{
+		res:     res,
+		isDef:   make([]bool, n),
+		sites:   make([]int64, n),
+		defs:    make([]int64, n),
+		up:      make([]bool, n),
+		down:    make([]bool, n),
+		touched: make([]touchMemo, n),
+		pending: make([]edgeRun, n*slotsPerSite),
+	}
+	for s := range defSites {
+		p.isDef[s] = true
+	}
+	return p
+}
+
+// slotsPerSite is the number of pending edge runs per destination
+// site: one per dependence kind (flow, anti, output) and carriedness.
+const slotsPerSite = 3 * 2
+
+func edgeSlot(dst int, kind ddg.DepKind, carried bool) int {
+	i := (dst*3 + int(kind)) * 2
+	if carried {
+		i++
+	}
+	return i
+}
+
+// edge records n occurrences of a dependence, extending the current
+// run of its (dst, kind, carried) slot when the source matches.
+func (p *profiler) edge(src int32, dst int, kind ddg.DepKind, carried bool, n int64) {
+	r := &p.pending[edgeSlot(dst, kind, carried)]
+	if r.src != src {
+		if r.n > 0 {
+			p.res.Graph.AddEdgeN(int(r.src), dst, kind, carried, r.n)
+		}
+		*r = edgeRun{src: src}
+	}
+	r.n += n
+}
+
+// finish flushes the pending edge runs and folds the dense per-site
+// tables into the Graph.
+func (p *profiler) finish() {
+	g := p.res.Graph
+	for i, r := range p.pending {
+		if r.n > 0 {
+			g.AddEdgeN(int(r.src), i/slotsPerSite, ddg.DepKind(i/2%3), i%2 == 1, r.n)
+		}
+	}
+	for s := range p.sites {
+		if p.sites[s] > 0 {
+			g.Sites[s] = p.sites[s]
+		}
+		if p.defs[s] > 0 {
+			g.Defs[s] = p.defs[s]
+		}
+		if p.up[s] {
+			g.UpwardExposed[s] = true
+		}
+		if p.down[s] {
+			g.DownwardExposed[s] = true
+		}
+	}
+}
+
+// touch records the origin of the block an in-loop access at site hit.
+func (p *profiler) touch(site int, addr int64) {
+	tm := &p.touched[site]
+	if gen := p.mem.Gen(); tm.gen != gen {
+		*tm = touchMemo{gen: gen}
+	} else if tm.blocks[0].has(addr) {
+		return
+	} else if tm.blocks[1].has(addr) {
+		tm.blocks[0], tm.blocks[1] = tm.blocks[1], tm.blocks[0]
+		return
+	}
+	o := Origin{Kind: OriginOther}
+	if b, ok := p.mem.Block(addr); ok {
+		tm.blocks[0], tm.blocks[1] = blockRange{b.Base, b.End()}, tm.blocks[0]
+		switch {
+		case b.Site > 0:
+			o = Origin{Kind: OriginHeap, Site: b.Site}
+		case len(b.Label) > 7 && b.Label[:7] == "global ":
+			o = Origin{Kind: OriginGlobal, Name: b.Label[7:]}
+		case b.Label == "stack":
+			o = Origin{Kind: OriginStack}
+		}
+	}
+	set := p.res.Touched[site]
+	if set == nil {
+		set = map[Origin]bool{}
+		p.res.Touched[site] = set
+	}
+	set[o] = true
+}
+
+// load and store are the Load and Store hooks. Inside the loop they
+// classify a run of bytes with identical shadow history once: the bytes
+// of one access were mostly last written (and read) by one access, so a
+// run is usually the whole access.
+func (p *profiler) load(site int, addr, size int64) {
+	if site == 0 {
+		return
+	}
+	end := addr + size
+	if !p.inLoop {
+		// A read after the loop: any value last written inside
+		// some instance makes that store downwards-exposed.
+		rd := stamp{site: int32(site)}
+		for addr < end {
+			cs := p.sh.Span(addr, end)
+			addr += int64(len(cs))
+			for i := range cs {
+				c := &cs[i]
+				if c.w.site != 0 && c.w.inst > 0 {
+					p.down[c.w.site] = true
+				}
+				c.r = rd
+			}
+		}
+		return
+	}
+	p.sites[site]++
+	p.touch(site, addr)
+	rd := stamp{site: int32(site), inst: p.instance, iter: p.iter}
+	for addr < end {
+		cs := p.sh.Span(addr, end)
+		addr += int64(len(cs))
+		for len(cs) > 0 {
+			w := cs[0].w
+			n := 1
+			for n < len(cs) && cs[n].w == w {
+				n++
+			}
+			if w.site == 0 || w.inst != rd.inst {
+				// Value comes from outside this loop instance.
+				p.up[site] = true
+				if w.site != 0 && w.inst > 0 {
+					// ... and from a store of an earlier instance:
+					// that store's value survived the loop exit.
+					p.down[w.site] = true
+				}
+			} else {
+				p.edge(w.site, site, ddg.Flow, w.iter != rd.iter, int64(n))
+			}
+			for i := range cs[:n] {
+				cs[i].r = rd
+			}
+			cs = cs[n:]
+		}
+	}
+}
+
+func (p *profiler) store(site int, addr, size int64) {
+	if site == 0 {
+		return
+	}
+	end := addr + size
+	if p.isDef[site] {
+		// Definition sites (declarations and allocations) kill the
+		// shadow history of their bytes: a recycled stack slot or heap
+		// address is a fresh object, not a dependence on its previous
+		// tenant.
+		fresh := cell{w: stamp{site: int32(site)}}
+		if p.inLoop {
+			fresh.w.inst, fresh.w.iter = p.instance, p.iter
+			p.defs[site]++
+		}
+		for addr < end {
+			cs := p.sh.Span(addr, end)
+			addr += int64(len(cs))
+			for i := range cs {
+				cs[i] = fresh
+			}
+		}
+		return
+	}
+	if !p.inLoop {
+		wr := stamp{site: int32(site)}
+		for addr < end {
+			cs := p.sh.Span(addr, end)
+			addr += int64(len(cs))
+			for i := range cs {
+				cs[i].w = wr
+			}
+		}
+		return
+	}
+	p.sites[site]++
+	p.touch(site, addr)
+	wr := stamp{site: int32(site), inst: p.instance, iter: p.iter}
+	for addr < end {
+		cs := p.sh.Span(addr, end)
+		addr += int64(len(cs))
+		for len(cs) > 0 {
+			c := cs[0]
+			n := 1
+			for n < len(cs) && cs[n] == c {
+				n++
+			}
+			// Anti dependence from the last reader.
+			if c.r.site != 0 && c.r.inst == wr.inst {
+				p.edge(c.r.site, site, ddg.Anti, c.r.iter != wr.iter, int64(n))
+			}
+			// Output dependence from the last writer.
+			if c.w.site != 0 && c.w.inst == wr.inst {
+				p.edge(c.w.site, site, ddg.Output, c.w.iter != wr.iter, int64(n))
+			}
+			for i := range cs[:n] {
+				cs[i].w = wr
+			}
+			cs = cs[n:]
+		}
+	}
 }

@@ -1,6 +1,7 @@
 package profile
 
 import (
+	"fmt"
 	"testing"
 
 	"gdsx/internal/ast"
@@ -298,5 +299,59 @@ int main() {
 }`)
 	if _, err := Loop(prog, info, 999, interp.Options{}); err == nil {
 		t.Fatalf("expected error for unknown loop")
+	}
+}
+
+// TestMixedHistoryBytes pins edge counts when the bytes of one access
+// were last touched by one site in different iterations. Byte j of x is
+// stored, and byte j of y read, in iteration j. So the load of x and the
+// store to y in iteration i depend on bytes j < i through carried
+// edges, on byte i through loop-independent ones, and the load reads
+// the bytes j > i from before the loop.
+func TestMixedHistoryBytes(t *testing.T) {
+	prog, info, loopID := compile(t, `
+int x;
+int y;
+int main() {
+    char *b = (char*)&x;
+    char *c = (char*)&y;
+    int i;
+    int s = 0;
+    parallel for (i = 0; i < 4; i++) {
+        b[i] = 1;
+        s = s + x + c[i];
+        y = s;
+    }
+    print_int(s);
+    return 0;
+}`)
+	res, err := Loop(prog, info, loopID, interp.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	site := map[string]int{}
+	for id, as := range info.Accesses {
+		if !as.IsDef {
+			site[fmt.Sprintf("%s %v", as.Text, as.IsStore)] = id
+		}
+	}
+	bi, x, ci, y := site["b[i] true"], site["x false"], site["c[i] false"], site["y true"]
+	g := res.Graph
+	for _, c := range []struct {
+		e    ddg.Edge
+		want int64
+	}{
+		{ddg.Edge{Src: bi, Dst: x, Kind: ddg.Flow, Carried: true}, 0 + 1 + 2 + 3},
+		{ddg.Edge{Src: bi, Dst: x, Kind: ddg.Flow}, 4},
+		{ddg.Edge{Src: ci, Dst: y, Kind: ddg.Anti, Carried: true}, 0 + 1 + 2 + 3},
+		{ddg.Edge{Src: ci, Dst: y, Kind: ddg.Anti}, 4},
+		{ddg.Edge{Src: y, Dst: y, Kind: ddg.Output, Carried: true}, 3 * 4},
+	} {
+		if n := g.Count(c.e); n != c.want {
+			t.Errorf("%+v counted %d times, want %d", c.e, n, c.want)
+		}
+	}
+	if !g.UpwardExposed[x] {
+		t.Errorf("load of x not upward-exposed; its high bytes come from before the loop")
 	}
 }

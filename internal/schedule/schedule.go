@@ -369,7 +369,6 @@ func simulateDynamic(tr *interp.LoopTrace, n int, m Model) Breakdown {
 	return b
 }
 
-
 // ProgramTime computes the simulated execution time of a whole traced
 // run with n threads: the sequential ops outside parallel loops plus
 // each loop instance's simulated makespan. It also returns the
