@@ -18,14 +18,6 @@ import (
 	"gdsx/internal/workloads"
 )
 
-var adaptEngines = []struct {
-	name string
-	eng  Engine
-}{
-	{"compiled", EngineCompiled},
-	{"tree", EngineTree},
-}
-
 // adaptCompile compiles an adversarial pair's exposing program and its
 // native sequential reference output.
 func adaptCompile(t *testing.T, a *workloads.Adversarial) (*Program, string) {
@@ -92,9 +84,10 @@ func TestCommSiteDetection(t *testing.T) {
 // TestCommutativePrivatization runs the reduction workload guarded
 // with commutative privatization: the three accumulators (sum,
 // histogram, max) must be detected as commutative classes, the region
-// must stay violation-free at every thread count on both engines, and
-// the output must match the native sequential run. The privatizer's
-// stats prove the mechanism actually engaged.
+// must stay violation-free at every thread count with the optimization
+// pipeline off and on, and the output must match the native
+// sequential run. The privatizer's stats prove the mechanism actually
+// engaged.
 func TestCommutativePrivatization(t *testing.T) {
 	w := workloads.CommReduce()
 	prog, wantOut := adaptCompile(t, w)
@@ -118,9 +111,9 @@ func TestCommutativePrivatization(t *testing.T) {
 		t.Fatalf("commutative classes = %d, want 3 (total, hist, hi):\n%s",
 			classes, strings.Join(notes, "\n"))
 	}
-	for _, e := range adaptEngines {
+	for _, e := range optLevels {
 		for _, nt := range []int{1, 2, 4, 8} {
-			res, err := GuardedRun(prog, tr, RunOptions{Threads: nt, Engine: e.eng})
+			res, err := GuardedRun(prog, tr, RunOptions{Threads: nt, Opt: e.opt})
 			if err != nil {
 				t.Fatalf("%s threads=%d: %v", e.name, nt, err)
 			}
@@ -165,10 +158,10 @@ func TestSampledGuardEscapeWindow(t *testing.T) {
 	if err != nil {
 		t.Fatalf("transform: %v", err)
 	}
-	for _, e := range adaptEngines {
+	for _, e := range optLevels {
 		for _, nt := range []int{1, 2, 4, 8} {
 			res, err := GuardedRun(prog, tr, RunOptions{
-				Threads: nt, Sched: SchedStatic, Engine: e.eng,
+				Threads: nt, Sched: SchedStatic, Opt: e.opt,
 				Recover: &RecoverySpec{}, Sample: &TierSpec{},
 			})
 			if err != nil {

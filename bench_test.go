@@ -218,39 +218,11 @@ func BenchmarkAblationBaseHoisting(b *testing.B) {
 	b.ReportMetric(flat, "mean-unhoisted-slowdown")
 }
 
-// BenchmarkEngineComparison measures real wall-clock execution of
-// every workload under each execution engine, one sub-benchmark per
-// (workload, engine) pair:
-//
-//	go test -bench=EngineComparison
-//
-// compares tree-walking dispatch against the closure-compiling engine
-// on this host. Programs run single-threaded so the measurement is
-// pure dispatch cost; `gdsxbench -bench-engines` produces the same
-// comparison at full bench scale with the geomean speedup.
-func BenchmarkEngineComparison(b *testing.B) {
-	for _, w := range workloads.All() {
-		prog, err := gdsx.Compile(w.Name+".c", w.Source(workloads.Test))
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, eng := range []gdsx.Engine{gdsx.EngineTree, gdsx.EngineCompiled} {
-			b.Run(w.Name+"/"+eng.String(), func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					if _, err := prog.Run(gdsx.RunOptions{Threads: 1, Engine: eng}); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-		}
-	}
-}
-
 // BenchmarkWallClockParallel measures REAL wall-clock execution of a
 // transformed workload at 1 vs GOMAXPROCS threads. On a multi-core
 // host the ratio approaches the simulated speedups; on a single-core
-// host (like the reference environment, which is why the evaluation
-// uses the schedule simulator) it stays near 1.
+// host it stays near 1. The evaluation uses the schedule simulator so
+// that its numbers do not depend on the host at all.
 func BenchmarkWallClockParallel(b *testing.B) {
 	w := workloads.ByName("md5")
 	prog, err := gdsx.Compile("md5.c", w.Source(workloads.ProfileScale))

@@ -4,9 +4,10 @@ package gdsx
 // mid-parallel-region must unwind every worker at its next safe point,
 // leak no goroutines, and surface one deterministic structured error —
 // *interp.CancelledError wrapping the context cause — no matter which
-// scheduler or engine ran the region. These tests synchronize on the
-// ParallelStart hook so the cancel always lands strictly inside an
-// executing parallel region, and run under -race in CI.
+// scheduler or optimization level ran the region. These tests
+// synchronize on the ParallelStart hook so the cancel always lands
+// strictly inside an executing parallel region, and run under -race in
+// CI.
 
 import (
 	"context"
@@ -137,19 +138,16 @@ func runCancelMid(t *testing.T, src string, opts RunOptions) error {
 }
 
 // TestCancelMidParallelRegion cancels a DOALL region under every
-// scheduler and both engines: the run must return the structured
-// cancellation error and leak no goroutines, under -race.
+// scheduler, with the optimization pipeline off and on: the run must
+// return the structured cancellation error and leak no goroutines,
+// under -race.
 func TestCancelMidParallelRegion(t *testing.T) {
-	engines := []struct {
-		name string
-		eng  Engine
-	}{{"compiled", EngineCompiled}, {"tree", EngineTree}}
 	for _, ps := range parityScheds {
-		for _, en := range engines {
-			t.Run(ps.name+"/"+en.name, func(t *testing.T) {
+		for _, lv := range optLevels {
+			t.Run(ps.name+"/"+lv.name, func(t *testing.T) {
 				base := runtime.NumGoroutine()
 				err := runCancelMid(t, cancelLoopSrc,
-					RunOptions{Threads: 4, Sched: ps.pol, Engine: en.eng})
+					RunOptions{Threads: 4, Sched: ps.pol, Opt: lv.opt})
 				checkCancelled(t, err, context.Canceled)
 				want := "interp: run cancelled: context canceled"
 				if err.Error() != want {
@@ -163,23 +161,19 @@ func TestCancelMidParallelRegion(t *testing.T) {
 
 // TestCancelMidOrderedRegion cancels a DOACROSS region whose workers
 // are blocked in the ordered-section spin — the cancellation must
-// interrupt the spin (not just loop back-edges) on both engines and
-// both ordered schedulers.
+// interrupt the spin (not just loop back-edges) with the optimization
+// pipeline off and on, under both ordered schedulers.
 func TestCancelMidOrderedRegion(t *testing.T) {
-	engines := []struct {
-		name string
-		eng  Engine
-	}{{"compiled", EngineCompiled}, {"tree", EngineTree}}
 	scheds := []struct {
 		name string
 		pol  SchedPolicy
 	}{{"static", SchedStatic}, {"dynamic", SchedDynamic}}
 	for _, ps := range scheds {
-		for _, en := range engines {
-			t.Run(ps.name+"/"+en.name, func(t *testing.T) {
+		for _, lv := range optLevels {
+			t.Run(ps.name+"/"+lv.name, func(t *testing.T) {
 				base := runtime.NumGoroutine()
 				err := runCancelMid(t, cancelOrderedSrc,
-					RunOptions{Threads: 4, Sched: ps.pol, Engine: en.eng})
+					RunOptions{Threads: 4, Sched: ps.pol, Opt: lv.opt})
 				checkCancelled(t, err, context.Canceled)
 				checkGoroutines(t, base)
 			})

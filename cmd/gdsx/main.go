@@ -66,11 +66,11 @@ func main() {
 
 func usage() {
 	fmt.Fprintln(os.Stderr, `usage:
-  gdsx run      [-threads N] [-seq] [-engine compiled|compiled-noopt|tree]
+  gdsx run      [-threads N] [-seq] [-engine compiled|compiled-noopt]
                 [-opt-profile sites.json] file.c
   gdsx profile  [-loop ID] [-json] file.c
   gdsx expand   [-unopt] [-interleaved|-adaptive] file.c
-  gdsx pipeline [-threads N] [-engine compiled|compiled-noopt|tree] [-guard]
+  gdsx pipeline [-threads N] [-engine compiled|compiled-noopt] [-guard]
                 [-recover] [-adapt] [-sample-k K] [-region-timeout D]
                 [-profile-input train.c]
                 [-hotspots] [-hotspots-json sites.json]
@@ -90,14 +90,14 @@ func compileArg(fs *flag.FlagSet) (*gdsx.Program, error) {
 	return gdsx.Compile(file, string(src))
 }
 
-// engineFlag parses the -engine flag value ("compiled",
-// "compiled-noopt" or "tree").
-func engineFlag(name string) (gdsx.Engine, error) {
-	eng, ok := gdsx.EngineFromString(name)
+// engineFlag parses the -engine flag value ("compiled" or
+// "compiled-noopt") into the optimization level it selects.
+func engineFlag(name string) (gdsx.OptLevel, error) {
+	opt, ok := gdsx.OptFromEngine(name)
 	if !ok {
-		return eng, fmt.Errorf("unknown engine %q (want compiled, compiled-noopt or tree)", name)
+		return opt, fmt.Errorf("unknown engine %q (want compiled or compiled-noopt)", name)
 	}
-	return eng, nil
+	return opt, nil
 }
 
 // readOptProfile loads a hot-site profile (the JSON a previous
@@ -122,11 +122,11 @@ func runCmd(args []string) error {
 	fs := flag.NewFlagSet("run", flag.ExitOnError)
 	threads := fs.Int("threads", 1, "simulated thread count")
 	seq := fs.Bool("seq", false, "force sequential execution of parallel loops")
-	engineName := fs.String("engine", "compiled", "execution engine: compiled, compiled-noopt or tree")
+	engineName := fs.String("engine", "compiled", "execution engine: compiled or compiled-noopt")
 	optProfile := fs.String("opt-profile", "",
 		"hot-site profile JSON (from pipeline -hotspots-json) for site specialization")
 	fs.Parse(args)
-	engine, err := engineFlag(*engineName)
+	opt, err := engineFlag(*engineName)
 	if err != nil {
 		return err
 	}
@@ -139,7 +139,7 @@ func runCmd(args []string) error {
 		return err
 	}
 	res, err := prog.Run(gdsx.RunOptions{Threads: *threads, ForceSequential: *seq,
-		Engine: engine, OptProfile: sites})
+		Opt: opt, OptProfile: sites})
 	if err != nil {
 		return err
 	}
@@ -258,7 +258,7 @@ func expandCmd(args []string) error {
 func pipelineCmd(args []string) error {
 	fs := flag.NewFlagSet("pipeline", flag.ExitOnError)
 	threads := fs.Int("threads", 4, "simulated thread count")
-	engineName := fs.String("engine", "compiled", "execution engine: compiled, compiled-noopt or tree")
+	engineName := fs.String("engine", "compiled", "execution engine: compiled or compiled-noopt")
 	guarded := fs.Bool("guard", false,
 		"run under the dependence-violation monitor with sequential fallback")
 	recoverRegions := fs.Bool("recover", false,
@@ -291,7 +291,7 @@ func pipelineCmd(args []string) error {
 		"hot-site profile JSON from a previous -hotspots-json run; the compiled "+
 			"engine specializes the hottest sites' accessors")
 	fs.Parse(args)
-	engine, err := engineFlag(*engineName)
+	opt, err := engineFlag(*engineName)
 	if err != nil {
 		return err
 	}
@@ -303,7 +303,7 @@ func pipelineCmd(args []string) error {
 	if err != nil {
 		return err
 	}
-	native, err := prog.Run(gdsx.RunOptions{Threads: 1, Engine: engine})
+	native, err := prog.Run(gdsx.RunOptions{Threads: 1, Opt: opt})
 	if err != nil {
 		return err
 	}
@@ -315,7 +315,7 @@ func pipelineCmd(args []string) error {
 		}
 		topts.ProfileSource = string(psrc)
 	}
-	ropts := gdsx.RunOptions{Threads: *threads, Engine: engine,
+	ropts := gdsx.RunOptions{Threads: *threads, Opt: opt,
 		RegionTimeout: *regionTimeout, OptProfile: sites}
 	if *recoverRegions && !*guarded && !*adapt {
 		return fmt.Errorf("-recover requires -guard")

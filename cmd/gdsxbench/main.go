@@ -6,8 +6,7 @@
 //
 // Usage:
 //
-//	gdsxbench [-scale test|profile|bench] [-engine compiled|tree] [-exp all|table4|table5|fig8|...|fig14]
-//	gdsxbench -bench-engines [-scale ...] [-o BENCH_engine.json]
+//	gdsxbench [-scale test|profile|bench] [-exp all|table4|table5|fig8|...|fig14]
 //	gdsxbench -bench-opt [-quick] [-scale ...] [-o BENCH_opt.json]
 //	gdsxbench -guard [-quick] [-scale ...] [-o BENCH_guard.json]
 //	gdsxbench -recovery [-scale ...] [-o BENCH_recovery.json]
@@ -16,13 +15,12 @@
 //	gdsxbench -adapt [-quick] [-scale ...] [-o BENCH_adapt.json]
 //	gdsxbench -serve-load [-quick] [-o BENCH_serve.json]
 //
-// The -bench-engines mode instead measures host wall-clock time of
-// each workload under the tree-walking and closure-compiling engines
-// and writes the comparison as JSON. The -bench-opt mode measures the
-// compiled engine with its optimization pipeline on versus off;
-// -bench-opt -quick is the CI smoke variant, which measures a workload
-// subset and exits nonzero when the geomean speedup regresses more
-// than 5% against the matching rows of the checked-in BENCH_opt.json. The -guard mode measures the
+// The -bench-opt mode instead measures host wall-clock time of each
+// workload under the engine with its optimization pipeline on versus
+// off and writes the comparison as JSON; -bench-opt -quick is the CI
+// smoke variant, which measures a workload subset and exits nonzero
+// when the geomean speedup regresses more than 5% against the
+// matching rows of the checked-in BENCH_opt.json. The -guard mode measures the
 // guarded-execution monitor's overhead on violation-free parallel runs
 // (use -scale profile: the monitor logs every access, so bench-scale
 // inputs need log memory proportional to their operation count);
@@ -87,9 +85,6 @@ import (
 func main() {
 	scale := flag.String("scale", "bench", "input scale: test, profile or bench")
 	exp := flag.String("exp", "all", "experiment: all, table4, table5, fig8..fig14")
-	engineName := flag.String("engine", "compiled", "execution engine: compiled or tree")
-	benchEngines := flag.Bool("bench-engines", false,
-		"measure tree vs compiled engine wall clock and write JSON")
 	benchOpt := flag.Bool("bench-opt", false,
 		"measure the compiled engine's optimization pipeline (on vs off) and write JSON")
 	benchGuard := flag.Bool("guard", false,
@@ -122,7 +117,7 @@ func main() {
 	httpAddr := flag.String("http", "",
 		"serve expvar (live gdsx metrics) and net/http/pprof on this address"+
 			" during the run, e.g. :8080")
-	outFile := flag.String("o", "", "output file (default BENCH_engine.json, BENCH_guard.json, BENCH_recovery.json or BENCH_obs.json)")
+	outFile := flag.String("o", "", "output file (default BENCH_<mode>.json, e.g. BENCH_opt.json)")
 	flag.Parse()
 
 	cfg := bench.DefaultConfig()
@@ -137,12 +132,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, "gdsxbench: unknown scale", *scale)
 		os.Exit(2)
 	}
-	engine, ok := gdsx.EngineFromString(*engineName)
-	if !ok {
-		fmt.Fprintf(os.Stderr, "gdsxbench: unknown engine %q (want compiled or tree)\n", *engineName)
-		os.Exit(2)
-	}
-	cfg.Engine = engine
 	if *httpAddr != "" {
 		// A metrics-only observer: every harness run publishes into one
 		// registry, served live at /debug/vars; an event tracer here
@@ -173,8 +162,8 @@ func main() {
 		fmt.Fprintf(os.Stderr, "gdsxbench: serving expvar and pprof on %s"+
 			" (/debug/vars, /debug/pprof)\n", ln.Addr())
 	}
-	fmt.Fprintf(os.Stderr, "gdsxbench: engine=%s scale=%s %s %s/%s\n",
-		engine, *scale, runtime.Version(), runtime.GOOS, runtime.GOARCH)
+	fmt.Fprintf(os.Stderr, "gdsxbench: scale=%s %s %s/%s\n",
+		*scale, runtime.Version(), runtime.GOOS, runtime.GOARCH)
 	h := bench.New(cfg)
 	start := time.Now()
 
@@ -228,22 +217,6 @@ func main() {
 			return
 		}
 		writeJSON(rep, *outFile, "BENCH_opt.json", "optimization comparison", start)
-		return
-	}
-
-	if *benchEngines {
-		rep, err := h.EngineComparison()
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "gdsxbench:", err)
-			os.Exit(1)
-		}
-		fmt.Print(rep.Render())
-		if cfg.Scale != workloads.BenchScale {
-			fmt.Fprintln(os.Stderr, "gdsxbench: note: at this scale per-run setup"+
-				" (simulated-memory allocation) rivals the programs' execution time;"+
-				" use -scale bench for a meaningful engine comparison")
-		}
-		writeJSON(rep, *outFile, "BENCH_engine.json", "engine comparison", start)
 		return
 	}
 

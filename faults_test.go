@@ -1,8 +1,8 @@
 package gdsx
 
 // Fault parity: a faulting MiniC program must produce the same
-// structured RuntimeError — same source position, same message — from
-// both execution engines, and a fault inside a parallel worker must
+// structured RuntimeError — same source position, same message — with
+// the optimization pipeline off and on, and a fault inside a parallel worker must
 // unwind cleanly into an annotated error instead of crashing the
 // process.
 
@@ -88,29 +88,29 @@ func TestFaultParity(t *testing.T) {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
 			t.Parallel()
-			errs := map[Engine]error{}
-			for _, eng := range []Engine{EngineTree, EngineCompiled} {
+			var errs [2]error
+			for i, lv := range optLevels {
 				opts := tc.opts
-				opts.Engine = eng
+				opts.Opt = lv.opt
 				_, err := RunSource("fault.c", tc.src, opts)
 				if err == nil {
-					t.Fatalf("engine %v: expected a runtime error", eng)
+					t.Fatalf("%s: expected a runtime error", lv.name)
 				}
 				var re interp.RuntimeError
 				if !errors.As(err, &re) {
-					t.Fatalf("engine %v: error is %T, want interp.RuntimeError: %v", eng, err, err)
+					t.Fatalf("%s: error is %T, want interp.RuntimeError: %v", lv.name, err, err)
 				}
 				if !re.Pos.IsValid() {
-					t.Errorf("engine %v: fault carries no source position: %v", eng, err)
+					t.Errorf("%s: fault carries no source position: %v", lv.name, err)
 				}
 				if !strings.Contains(re.Msg, tc.want) {
-					t.Errorf("engine %v: message %q does not contain %q", eng, re.Msg, tc.want)
+					t.Errorf("%s: message %q does not contain %q", lv.name, re.Msg, tc.want)
 				}
-				errs[eng] = err
+				errs[i] = err
 			}
-			if errs[EngineTree].Error() != errs[EngineCompiled].Error() {
-				t.Errorf("engines disagree on the fault:\ntree:     %v\ncompiled: %v",
-					errs[EngineTree], errs[EngineCompiled])
+			if errs[0].Error() != errs[1].Error() {
+				t.Errorf("configurations disagree on the fault:\n%s: %v\n%s: %v",
+					optLevels[0].name, errs[0], optLevels[1].name, errs[1])
 			}
 		})
 	}
@@ -144,24 +144,24 @@ int main() {
 // worker must not crash the host process or deadlock the region; it
 // unwinds into a RuntimeError annotated with the worker and iteration.
 func TestFaultInParallelWorker(t *testing.T) {
-	for _, eng := range []Engine{EngineTree, EngineCompiled} {
+	for _, lv := range optLevels {
 		for _, nt := range []int{1, 2, 4} {
 			_, err := RunSource("pfault.c", parallelFaultSrc,
-				RunOptions{Threads: nt, Engine: eng, FailAlloc: 40})
+				RunOptions{Threads: nt, Opt: lv.opt, FailAlloc: 40})
 			if err == nil {
-				t.Fatalf("engine %v threads=%d: expected an allocation fault", eng, nt)
+				t.Fatalf("%s threads=%d: expected an allocation fault", lv.name, nt)
 			}
 			var re interp.RuntimeError
 			if !errors.As(err, &re) {
-				t.Fatalf("engine %v threads=%d: error is %T, want RuntimeError: %v", eng, nt, err, err)
+				t.Fatalf("%s threads=%d: error is %T, want RuntimeError: %v", lv.name, nt, err, err)
 			}
 			if !strings.Contains(re.Msg, "out of memory") {
-				t.Errorf("engine %v threads=%d: message %q lacks the allocation fault", eng, nt, re.Msg)
+				t.Errorf("%s threads=%d: message %q lacks the allocation fault", lv.name, nt, re.Msg)
 			}
 			// A one-thread region runs its chunk without the worker
 			// annotation; multi-threaded faults must name the worker.
 			if nt >= 2 && (!strings.Contains(re.Msg, "parallel worker") || !strings.Contains(re.Msg, "iteration")) {
-				t.Errorf("engine %v threads=%d: fault not attributed to a worker: %q", eng, nt, re.Msg)
+				t.Errorf("%s threads=%d: fault not attributed to a worker: %q", lv.name, nt, re.Msg)
 			}
 		}
 	}

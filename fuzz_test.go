@@ -2,10 +2,10 @@ package gdsx
 
 // FuzzCompileRun drives arbitrary source text through the full
 // frontend (lexer, parser, semantic analysis) and, when it compiles,
-// through the execution engines — tree-walker, unoptimized compiled,
-// optimized compiled — with tight operation and memory bounds. The
-// frontend must reject garbage with an error — never a panic — and the
-// engines must agree on the outcome of whatever survives to execution.
+// through the engine with its optimization pipeline off and on, under
+// tight operation and memory bounds. The frontend must reject garbage
+// with an error — never a panic — and both configurations must agree
+// on the outcome of whatever survives to execution.
 
 import (
 	"errors"
@@ -60,13 +60,13 @@ int main() { int a = 2; int b = set(&a); return a * 10 + b; }`)
 		// dynamic DOACROSS schedule loads most). The requirement here is
 		// containment: any failure must be a structured RuntimeError, not
 		// a process panic, deadlock, or hang.
-		for _, eng := range []Engine{EngineTree, EngineCompiledNoOpt, EngineCompiled} {
+		for _, lv := range optLevels {
 			o := opts
-			o.Engine = eng
+			o.Opt = lv.opt
 			if _, rerr := prog.Run(o); rerr != nil {
 				var re interp.RuntimeError
 				if !errors.As(rerr, &re) {
-					t.Fatalf("engine %v: unstructured failure %T: %v", eng, rerr, rerr)
+					t.Fatalf("%s: unstructured failure %T: %v", lv.name, rerr, rerr)
 				}
 			}
 		}
@@ -87,36 +87,31 @@ int main() { int a = 2; int b = set(&a); return a * 10 + b; }`)
 		}
 		// Sequential phase: full differential. Deterministic execution
 		// must produce identical output, exit code, and failure from both
-		// engines.
-		results := map[Engine]struct {
+		// configurations.
+		type outcome struct {
 			out  string
 			exit int64
 			err  error
-		}{}
-		for _, eng := range []Engine{EngineTree, EngineCompiledNoOpt, EngineCompiled} {
+		}
+		var results [2]outcome
+		for i, lv := range optLevels {
 			o := opts
-			o.Engine = eng
+			o.Opt = lv.opt
 			o.ForceSequential = true
 			res, rerr := prog.Run(o)
 			if rerr != nil {
 				var re interp.RuntimeError
 				if !errors.As(rerr, &re) {
-					t.Fatalf("engine %v: unstructured failure %T: %v", eng, rerr, rerr)
+					t.Fatalf("%s: unstructured failure %T: %v", lv.name, rerr, rerr)
 				}
 			}
-			results[eng] = struct {
-				out  string
-				exit int64
-				err  error
-			}{res.Output, res.Exit, rerr}
+			results[i] = outcome{res.Output, res.Exit, rerr}
 		}
-		tr := results[EngineTree]
-		for _, eng := range []Engine{EngineCompiledNoOpt, EngineCompiled} {
-			cp := results[eng]
-			if (tr.err == nil) != (cp.err == nil) || tr.out != cp.out || tr.exit != cp.exit {
-				t.Fatalf("sequential runs diverge:\ntree: exit=%d err=%v out=%q\n%v:   exit=%d err=%v out=%q",
-					tr.exit, tr.err, tr.out, eng, cp.exit, cp.err, cp.out)
-			}
+		ref, got := results[0], results[1]
+		if (ref.err == nil) != (got.err == nil) || ref.out != got.out || ref.exit != got.exit {
+			t.Fatalf("sequential runs diverge:\n%s: exit=%d err=%v out=%q\n%s: exit=%d err=%v out=%q",
+				optLevels[0].name, ref.exit, ref.err, ref.out,
+				optLevels[1].name, got.exit, got.err, got.out)
 		}
 	})
 }

@@ -101,15 +101,11 @@ type RunOptions struct {
 	DispatchChunk int
 	// Hooks intercept execution (profiling, runtime privatization).
 	Hooks *interp.Hooks
-	// Engine selects the execution engine. The zero value is
-	// EngineCompiled, the closure-compiling engine; EngineTree selects
-	// the tree-walking reference implementation. Both engines produce
-	// byte-identical output and identical instruction counters.
-	Engine Engine
-	// Opt selects the compiled engine's optimization level. The zero
-	// value enables the full pass pipeline (register promotion,
+	// Opt selects the engine's optimization level. The zero value
+	// enables the full pass pipeline (register promotion,
 	// superinstruction fusion, profile-guided specialization); OptNone
-	// disables it, matching EngineCompiledNoOpt.
+	// disables it (-engine compiled-noopt). Both levels produce
+	// byte-identical output and identical instruction counters.
 	Opt OptLevel
 	// OptProfile feeds a prior run's hot-site profile to the optimizer,
 	// which specializes the hottest sites' memory accessors to their
@@ -209,21 +205,6 @@ type FaultPlan = interp.FaultPlan
 // RegionStats re-exports the interpreter's per-region health record.
 type RegionStats = interp.RegionStats
 
-// Engine re-exports the interpreter's engine selector.
-type Engine = interp.Engine
-
-// Execution engines.
-const (
-	// EngineCompiled compiles each function body to a tree of
-	// pre-resolved Go closures once, after checking (the default).
-	EngineCompiled = interp.EngineCompiled
-	// EngineTree walks the AST on every execution (reference engine).
-	EngineTree = interp.EngineTree
-	// EngineCompiledNoOpt is the compiled engine with the optimization
-	// pipeline disabled (shorthand for EngineCompiled + OptNone).
-	EngineCompiledNoOpt = interp.EngineCompiledNoOpt
-)
-
 // SchedPolicy re-exports the interpreter's scheduler selector.
 type SchedPolicy = interp.SchedPolicy
 
@@ -243,10 +224,11 @@ const (
 // "dynamic", or "" for the default).
 func SchedFromString(s string) (SchedPolicy, bool) { return interp.SchedFromString(s) }
 
-// OptLevel re-exports the compiled engine's optimization selector.
+// OptLevel re-exports the engine's optimization selector.
 type OptLevel = interp.OptLevel
 
-// Optimization levels for the compiled engine.
+// Optimization levels for the engine, which compiles each function
+// body to a tree of pre-resolved Go closures once, after checking.
 const (
 	// OptDefault runs the full optimization pipeline (the zero value).
 	OptDefault = interp.OptDefault
@@ -264,9 +246,9 @@ func SiteProfileFromReports(reps []obs.SiteReport) *SiteProfile {
 	return interp.SiteProfileFromReports(reps)
 }
 
-// EngineFromString parses an engine name ("compiled", "compiled-noopt",
-// "tree", or "" for the default).
-func EngineFromString(s string) (Engine, bool) { return interp.EngineFromString(s) }
+// OptFromEngine parses an -engine name ("compiled", "compiled-noopt",
+// or "" for the default) into the optimization level it selects.
+func OptFromEngine(name string) (OptLevel, bool) { return interp.OptFromEngine(name) }
 
 // Result re-exports the interpreter's run result.
 type Result = interp.Result
@@ -284,7 +266,6 @@ func (o RunOptions) interpOptions() interp.Options {
 		Sched:           o.Sched,
 		DispatchChunk:   o.DispatchChunk,
 		Hooks:           o.Hooks,
-		Engine:          o.Engine,
 		Opt:             o.Opt,
 		OptProfile:      o.OptProfile,
 		Recover:         o.Recover,

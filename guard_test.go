@@ -176,22 +176,22 @@ func TestGuardStandardWorkloadsClean(t *testing.T) {
 }
 
 // TestGuardBothEngines: the monitor attaches at the shared hook layer,
-// so both engines must detect the same violation and produce the same
-// fallback output.
+// so both engine configurations (optimization pipeline off and on) must
+// detect the same violation and produce the same fallback output.
 func TestGuardBothEngines(t *testing.T) {
 	a := workloads.AdversarialStencil()
 	native, tr := guardTransform(t, a)
 	want := sequentialOutput(t, native)
-	for _, eng := range []Engine{EngineCompiled, EngineTree} {
-		res, err := GuardedRun(native, tr, RunOptions{Threads: 4, Engine: eng})
+	for _, lv := range optLevels {
+		res, err := GuardedRun(native, tr, RunOptions{Threads: 4, Opt: lv.opt})
 		if err != nil {
-			t.Fatalf("engine %v: %v", eng, err)
+			t.Fatalf("%s: %v", lv.name, err)
 		}
 		if !res.FellBack || res.Violation == nil {
-			t.Fatalf("engine %v: expected a violation", eng)
+			t.Fatalf("%s: expected a violation", lv.name)
 		}
 		if res.Result.Output != want {
-			t.Fatalf("engine %v: output %q, want %q", eng, res.Result.Output, want)
+			t.Fatalf("%s: output %q, want %q", lv.name, res.Result.Output, want)
 		}
 	}
 }

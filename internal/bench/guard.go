@@ -119,7 +119,7 @@ func (h *Harness) GuardOverhead(quick bool) (*GuardReport, error) {
 		opts := h.run(gdsx.RunOptions{Threads: threads})
 
 		row := GuardRow{Workload: w.Name}
-		// Warm the Go heap once (see EngineComparison), then alternate
+		// Warm the Go heap once (see OptComparison), then alternate
 		// unguarded and guarded runs within each repetition. GuardedRun
 		// recompiles the transformed source on every call, so the
 		// unguarded baseline does too — the delta is purely the monitor.

@@ -1,7 +1,7 @@
 package bench
 
-// Observability overhead: like the engine comparison, this measures
-// host wall-clock time — the simulated operation counts are identical
+// Observability overhead: like the optimization comparison, this
+// measures host wall-clock time — the simulated operation counts are identical
 // with and without an Observer attached (observability must never
 // change what the program does). Each workload's expanded program runs
 // at 4 simulated threads in four configurations: no observer (the
@@ -96,7 +96,7 @@ const (
 // configuration and returns the wall-clock duration. A fresh Observer
 // is built per run — reusing one would make later runs pay for earlier
 // runs' trace buffers.
-func timeObs(exp *gdsx.Program, cfg obsConfig, memSize int64, eng gdsx.Engine) (time.Duration, error) {
+func timeObs(exp *gdsx.Program, cfg obsConfig, memSize int64) (time.Duration, error) {
 	var o *gdsx.Observer
 	switch cfg {
 	case obsOn:
@@ -110,7 +110,7 @@ func timeObs(exp *gdsx.Program, cfg obsConfig, memSize int64, eng gdsx.Engine) (
 	}
 	start := time.Now()
 	_, err := exp.Run(gdsx.RunOptions{
-		Threads: obsThreads, MemSize: memSize, Engine: eng, Obs: o,
+		Threads: obsThreads, MemSize: memSize, Obs: o,
 	})
 	return time.Since(start), err
 }
@@ -162,7 +162,7 @@ func (h *Harness) ObsOverhead(quick bool) (*ObsReport, error) {
 		// fresh-heap outlier to whichever configuration happened to run
 		// early.
 		for i := 0; i < obsWarmups; i++ {
-			if _, err := timeObs(exp, obsOff, h.cfg.MemSize, h.cfg.Engine); err != nil {
+			if _, err := timeObs(exp, obsOff, h.cfg.MemSize); err != nil {
 				return nil, fmt.Errorf("%s (warmup): %w", w.Name, err)
 			}
 		}
@@ -170,7 +170,7 @@ func (h *Harness) ObsOverhead(quick bool) (*ObsReport, error) {
 		for i := 0; i < obsReps; i++ {
 			for j := range configs {
 				c := configs[(i+j)%len(configs)]
-				d, err := timeObs(exp, c, h.cfg.MemSize, h.cfg.Engine)
+				d, err := timeObs(exp, c, h.cfg.MemSize)
 				if err != nil {
 					return nil, fmt.Errorf("%s (config %d): %w", w.Name, c, err)
 				}

@@ -3,9 +3,9 @@ package bench
 // Optimization-pipeline comparison: wall-clock time of the compiled
 // engine with its optimization passes (register promotion,
 // superinstruction fusion, profile-guided site specialization) against
-// the same engine with the pipeline disabled. Like the engine
-// comparison, this measures host time — the passes change dispatch
-// cost only; output and counters stay identical (see the opt-parity
+// the same engine with the pipeline disabled. Unlike the paper's
+// experiments, which report simulated operation counts, this measures
+// host time — the passes change dispatch cost only; output and counters stay identical (see the opt-parity
 // tests at the repository root). Each workload is first profiled at
 // the smaller profile scale with the hot-site profiler, and the
 // resulting site weights drive the specializer during the measured
@@ -41,6 +41,11 @@ type OptReport struct {
 	Rows      []OptRow `json:"rows"`
 	Geomean   float64  `json:"geomean_speedup"`
 }
+
+// optReps is how many times each (workload, level) pair runs; the
+// minimum wall-clock of the repetitions is reported, which discards
+// one-off scheduler and GC noise.
+const optReps = 3
 
 // OptQuickWorkloads is the subset the CI smoke gate measures
 // (gdsxbench -bench-opt -quick): enough diversity — pointer chasing,
@@ -91,7 +96,7 @@ func (h *Harness) OptComparison(quick bool) (*OptReport, error) {
 		GoVersion: runtime.Version(),
 		Scale:     scaleName(h.cfg.Scale),
 		Threads:   1,
-		Reps:      engineReps,
+		Reps:      optReps,
 	}
 	ws := workloads.All()
 	if quick {
@@ -110,30 +115,32 @@ func (h *Harness) OptComparison(quick bool) (*OptReport, error) {
 		if err != nil {
 			return nil, fmt.Errorf("%s: hot profile: %w", w.Name, err)
 		}
-		timeOpt := func(eng gdsx.Engine, sp *gdsx.SiteProfile) (time.Duration, error) {
+		timeOpt := func(opt gdsx.OptLevel, sp *gdsx.SiteProfile) (time.Duration, error) {
 			start := time.Now()
 			_, err := prog.Run(gdsx.RunOptions{
-				Threads: 1, MemSize: h.cfg.MemSize, Engine: eng, OptProfile: sp,
+				Threads: 1, MemSize: h.cfg.MemSize, Opt: opt, OptProfile: sp,
 			})
 			return time.Since(start), err
 		}
-		// Warm up untimed, then alternate the engines within each
-		// repetition so neither is systematically favored (see
-		// EngineComparison for the rationale).
-		if _, err := timeOpt(gdsx.EngineCompiled, sites); err != nil {
+		// One untimed run dirties the Go heap (the simulated memory's
+		// first allocation gets pre-zeroed pages from the OS; reruns pay
+		// a memclr), then the levels alternate within each repetition —
+		// otherwise whichever runs first is systematically cheaper and
+		// the comparison is biased.
+		if _, err := timeOpt(gdsx.OptDefault, sites); err != nil {
 			return nil, fmt.Errorf("%s (warmup): %w", w.Name, err)
 		}
 		bestNoOpt := time.Duration(math.MaxInt64)
 		bestOpt := time.Duration(math.MaxInt64)
-		for i := 0; i < engineReps; i++ {
-			d, err := timeOpt(gdsx.EngineCompiledNoOpt, nil)
+		for i := 0; i < optReps; i++ {
+			d, err := timeOpt(gdsx.OptNone, nil)
 			if err != nil {
 				return nil, fmt.Errorf("%s (noopt): %w", w.Name, err)
 			}
 			if d < bestNoOpt {
 				bestNoOpt = d
 			}
-			if d, err = timeOpt(gdsx.EngineCompiled, sites); err != nil {
+			if d, err = timeOpt(gdsx.OptDefault, sites); err != nil {
 				return nil, fmt.Errorf("%s (opt): %w", w.Name, err)
 			}
 			if d < bestOpt {

@@ -7,8 +7,7 @@
 //
 // The monitor is engine-agnostic: it attaches to the shared hook layer
 // (Hooks.Observe / Hooks.Expand / Hooks.ParallelStart / ParallelEnd),
-// so both the tree-walking and the closure-compiled engine are guarded
-// by the same code. The expanded program is made self-describing by
+// so the interpreter carries no monitor-specific code. The expanded program is made self-describing by
 // the expansion pass's GuardNotes mode: __expand_malloc and
 // __expand_note markers announce the copy geometry (base address,
 // per-copy span, element size for the interleaved layout) of every

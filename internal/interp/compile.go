@@ -1,8 +1,7 @@
-// Closure-compilation execution engine (EngineCompiled).
+// Closure-compilation execution engine.
 //
-// After sema, compileProgram walks each function body exactly once and
-// produces a tree of Go closures mirroring the tree-walking
-// interpreter in eval.go / exec.go node for node:
+// After sema, compileProgram walks each function body and each global
+// initializer exactly once and produces a tree of Go closures:
 //
 //   - identifiers resolve to a fixed frame-slot or global-table index
 //     at compile time (no symbol-kind switch per access),
@@ -10,18 +9,19 @@
 //     chosen once (no ctypes dispatch per evaluation),
 //   - constant subtrees fold to a single closure that bumps the work
 //     counter by the subtree's static node count,
-//   - the per-node `switch x := e.(type)` disappears from the hot
-//     path: each closure calls its children directly.
+//   - no closure switches on the AST node kind: each calls its
+//     children directly.
 //
-// The engine is behaviourally identical to the tree-walker: it fires
-// every Hooks callback (Load/Store/LoopEnter/LoopIter/LoopExit/
-// Redirect/Free/ParallelStart/ParallelEnd) at the same program points
-// with the same access-site IDs, maintains the same work/sync/wait
-// counters and cache-model traffic, and raises the same runtime
-// errors at the same positions. Cold paths that run a handful of
-// times per loop instance (parallel-loop bound computation, global
-// initialization) intentionally reuse the tree-walker so the two
-// engines cannot drift there.
+// Every executed statement and every evaluated rvalue node ticks the
+// work counter once (address computations do not); the optimization
+// pipeline (opt.go) keeps those totals exact. The engine fires every
+// Hooks callback (Load/Store/LoopEnter/LoopIter/LoopExit/Redirect/
+// Free/ParallelStart/ParallelEnd) at fixed program points with the
+// access-site IDs sema assigned, and raises positioned runtime errors.
+// Constructs sema never produces compile to a closure that raises a
+// runtime error (fault); cold paths that run once per loop instance
+// or once per run (parallel-loop bounds, global initializers) are
+// compiled like everything else.
 package interp
 
 import (
@@ -64,9 +64,13 @@ type promotedParam struct {
 }
 
 // compiledProg holds the compiled bodies of every function in a
-// program, keyed by declaration (declarations are shared pointers).
+// program, keyed by declaration (declarations are shared pointers),
+// and the compiled initializers of its globals, indexed like
+// sema.Info.Globals (nil for a global without one). An initializer
+// closure yields the value already converted to the global's type.
 type compiledProg struct {
-	funcs map[*ast.FuncDecl]*compiledFunc
+	funcs   map[*ast.FuncDecl]*compiledFunc
+	globals []cexpr
 }
 
 // compiler compiles one program for one machine. Options are fixed at
@@ -89,9 +93,10 @@ type compiler struct {
 	promoted []bool
 }
 
-// compileProgram compiles every function of m's program. Functions
-// may be mutually recursive, so the compiledFunc shells are created
-// first and the bodies filled in a second pass.
+// compileProgram compiles every function and global initializer of
+// m's program. Functions may be mutually recursive, so the
+// compiledFunc shells are created first and the bodies filled in a
+// second pass.
 func compileProgram(m *Machine) *compiledProg {
 	c := &compiler{
 		m:     m,
@@ -120,6 +125,18 @@ func compileProgram(m *Machine) *compiledProg {
 			}
 		}
 	}
+	// Global initializers are constant expressions (sema rejects
+	// anything else), so they run without a frame.
+	c.curFn, c.promoted = nil, nil
+	c.prog.globals = make([]cexpr, len(m.info.Globals))
+	for i, g := range m.info.Globals {
+		if g.Init == nil {
+			continue
+		}
+		ce := c.compileExpr(g.Init)
+		cv := convC(g.Init.ExprType(), g.Type)
+		c.prog.globals[i] = func(t *thread, f *frame) value { return cv(ce(t, f)) }
+	}
 	return c.prog
 }
 
@@ -132,8 +149,8 @@ func idConv(v value) value { return v }
 // truncC compiles truncInt for the statically known integer type t.
 func truncC(t *ctypes.Type) func(int64) value {
 	if !t.HasStaticSize() {
-		// Mirror the tree-walker: the size computation itself faults at
-		// evaluation time, not at compile time.
+		// The size computation itself faults at evaluation time, not at
+		// compile time.
 		return func(i int64) value { return truncInt(i, t) }
 	}
 	switch t.Size() {
@@ -207,9 +224,9 @@ func toFloatC(t *ctypes.Type) func(value) float64 {
 	return func(v value) float64 { return float64(v.I) }
 }
 
-// staticSizeOfElem mirrors sizeOfElem's result for types whose size is
-// statically known; ok == false means the tree-walker would raise a
-// runtime error (or needs a dynamic computation) for this type.
+// staticSizeOfElem returns sizeOfElem's result for types whose size is
+// statically known; ok == false means sizeOfElem raises a runtime
+// error (or needs a dynamic computation) for this type.
 func staticSizeOfElem(t *ctypes.Type) (int64, bool) {
 	if t == nil {
 		return 0, false
@@ -260,8 +277,8 @@ func (c *compiler) loaderFor(ty *ctypes.Type) func(t *thread, addr int64) value 
 	case 8:
 		return func(t *thread, addr int64) value { return iv(int64(mm.Load8(addr))) }
 	}
-	// Odd width (e.g. a struct type reaching a scalar load): fall back
-	// to the generic path, which faults exactly like the tree-walker.
+	// Odd width (e.g. a struct type reaching a scalar load): use the
+	// generic path, which faults at run time.
 	return func(t *thread, addr int64) value { return t.loadTyped(addr, ty) }
 }
 
@@ -407,8 +424,8 @@ func (c *compiler) symAddrC(sym *ast.Symbol, pos token.Pos) caddr {
 
 // constEval evaluates e at compile time when the subtree is
 // side-effect free, deterministic and cannot raise a runtime error.
-// n is the number of work-counter ticks the tree-walker would record
-// evaluating the subtree, so the folded closure stays counter-exact.
+// n is the number of work-counter ticks evaluating the subtree would
+// record, so the folded closure stays counter-exact.
 func (c *compiler) constEval(e ast.Expr) (v value, n int64, ok bool) {
 	switch x := e.(type) {
 	case *ast.IntLit:
@@ -445,9 +462,9 @@ func (c *compiler) constEval(e ast.Expr) (v value, n int64, ok bool) {
 }
 
 // constLogical folds && / || with short-circuit-exact tick counts: the
-// tree-walker never evaluates (or ticks) the right operand once the
-// left decides, so a decided left folds the whole expression even when
-// the right is not constant.
+// right operand is never evaluated (or ticked) once the left decides,
+// so a decided left folds the whole expression even when the right is
+// not constant.
 func (c *compiler) constLogical(x *ast.Logical) (value, int64, bool) {
 	xv, xn, ok := c.constEval(x.X)
 	if !ok {

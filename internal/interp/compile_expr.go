@@ -1,6 +1,7 @@
 package interp
 
 import (
+	"fmt"
 	"math"
 
 	"gdsx/internal/ast"
@@ -8,20 +9,22 @@ import (
 	"gdsx/internal/token"
 )
 
-// fallbackExpr delegates a rarely-executed or error-raising expression
-// to the tree-walker, which ticks and faults exactly as specified.
-func (c *compiler) fallbackExpr(e ast.Expr) cexpr {
-	return func(t *thread, f *frame) value { return t.eval(f, e) }
+// fault compiles a construct that can only fail — or that sema never
+// produces — to a closure that ticks the work counter ticks times (an
+// rvalue node's own tick; an address computation has none) and raises
+// the runtime error at pos. It serves rvalues (T = value), addresses
+// (T = int64) and statement bodies (T = ctrl).
+func fault[T any](pos token.Pos, ticks int64, format string, args ...any) func(*thread, *frame) T {
+	msg := fmt.Sprintf(format, args...)
+	return func(t *thread, f *frame) T {
+		t.counters[CatWork] += ticks
+		panic(RuntimeError{Pos: pos, Msg: msg})
+	}
 }
 
-// fallbackAddr delegates an address computation to the tree-walker.
-func (c *compiler) fallbackAddr(e ast.Expr) caddr {
-	return func(t *thread, f *frame) int64 { return t.addr(f, e) }
-}
-
-// compileExpr compiles e to a closure that mirrors eval(e): it ticks
-// the work counter once for every node the tree-walker would visit and
-// performs the same memory accesses in the same order.
+// compileExpr compiles e to a closure computing its rvalue: it ticks
+// the work counter once for every node it evaluates and performs the
+// node's memory accesses in source order.
 func (c *compiler) compileExpr(e ast.Expr) cexpr {
 	if v, n, ok := c.constEval(e); ok {
 		return func(t *thread, f *frame) value {
@@ -31,8 +34,8 @@ func (c *compiler) compileExpr(e ast.Expr) cexpr {
 	}
 	switch x := e.(type) {
 	case *ast.StringLit:
-		// Interning stays lazy: eager interning would shift allocation
-		// addresses relative to the tree-walker.
+		// Interning stays lazy, at first evaluation: eager interning
+		// would shift every later allocation address.
 		s := x.Value
 		return func(t *thread, f *frame) value {
 			t.counters[CatWork]++
@@ -67,7 +70,7 @@ func (c *compiler) compileExpr(e ast.Expr) cexpr {
 		}
 	case *ast.SizeofType:
 		// Static sizes were folded by constEval; reaching here means
-		// Size() must fault at evaluation time, as in the tree-walker.
+		// Size() must fault at evaluation time.
 		ty := x.Of
 		return func(t *thread, f *frame) value {
 			t.counters[CatWork]++
@@ -80,7 +83,7 @@ func (c *compiler) compileExpr(e ast.Expr) cexpr {
 			return iv(ty.Size())
 		}
 	}
-	return c.fallbackExpr(e)
+	return fault[value](e.Pos(), 1, "cannot evaluate expression")
 }
 
 func (c *compiler) compileIdent(x *ast.Ident) cexpr {
@@ -98,7 +101,7 @@ func (c *compiler) compileIdent(x *ast.Ident) cexpr {
 			return iv(nt)
 		}
 	case ast.SymFunc, ast.SymBuiltin:
-		return c.fallbackExpr(x) // "function %s used as a value"
+		return fault[value](x.Pos(), 1, "function %s used as a value", x.Name)
 	}
 	if c.isPromoted(sym) {
 		return c.promotedLoad(sym, x.Pos())
@@ -122,7 +125,7 @@ func (c *compiler) compileIdent(x *ast.Ident) cexpr {
 func (c *compiler) compileLoadable(e ast.Expr, site int) cexpr {
 	ty := e.ExprType()
 	if ty == nil {
-		return c.fallbackExpr(e)
+		return fault[value](e.Pos(), 1, "untyped expression")
 	}
 	ad := c.compileAddr(e)
 	if k := ty.Kind; k == ctypes.Array || k == ctypes.Struct {
@@ -138,14 +141,14 @@ func (c *compiler) compileLoadable(e ast.Expr, site int) cexpr {
 	}
 }
 
-// compileAddr compiles the lvalue address computation of e, mirroring
-// addr(): the node itself does not tick; nested rvalues do.
+// compileAddr compiles the lvalue address computation of e: the node
+// itself does not tick; nested rvalues do.
 func (c *compiler) compileAddr(e ast.Expr) caddr {
 	switch x := e.(type) {
 	case *ast.Ident:
 		switch x.Sym.Kind {
 		case ast.SymTID, ast.SymNTH:
-			return c.fallbackAddr(e) // "%s has no address"
+			return fault[int64](x.Pos(), 0, "%s has no address", x.Name)
 		}
 		return c.symAddrC(x.Sym, x.Pos())
 
@@ -206,11 +209,12 @@ func (c *compiler) compileAddr(e ast.Expr) caddr {
 			}
 		}
 	}
-	return c.fallbackAddr(e) // "expression has no address"
+	return fault[int64](e.Pos(), 0, "expression has no address")
 }
 
-// compileBase compiles evalBase(e): arrays yield their address (no
-// tick for the node), everything else its rvalue.
+// compileBase compiles an indexing or pointer-arithmetic base: arrays
+// yield their address (no tick for the node), everything else its
+// rvalue.
 func (c *compiler) compileBase(e ast.Expr) caddr {
 	if ty := e.ExprType(); ty != nil && ty.Kind == ctypes.Array {
 		return c.compileAddr(e)
@@ -230,7 +234,7 @@ func (c *compiler) compileUnary(x *ast.Unary) cexpr {
 		}
 	case token.MUL:
 		if rt == nil {
-			return c.fallbackExpr(x)
+			return fault[value](x.Pos(), 1, "untyped expression")
 		}
 		ad := c.compileAddr(x) // includes the null check
 		if k := rt.Kind; k == ctypes.Array || k == ctypes.Struct {
@@ -283,7 +287,7 @@ func (c *compiler) compileUnary(x *ast.Unary) cexpr {
 			return iv(1)
 		}
 	}
-	return c.fallbackExpr(x) // "bad unary operator"
+	return fault[value](x.Pos(), 1, "bad unary operator %s", x.Op)
 }
 
 func (c *compiler) compileLogical(x *ast.Logical) cexpr {
@@ -334,7 +338,7 @@ func (c *compiler) compileCond(x *ast.Cond) cexpr {
 func (c *compiler) compileBinary(x *ast.Binary) cexpr {
 	xt, yt := x.X.ExprType(), x.Y.ExprType()
 	if xt == nil || yt == nil {
-		return c.fallbackExpr(x)
+		return fault[value](x.Pos(), 1, "untyped expression")
 	}
 	xIsPtr := xt.Kind == ctypes.Ptr || xt.Kind == ctypes.Array
 	yIsPtr := yt.Kind == ctypes.Ptr || yt.Kind == ctypes.Array
@@ -401,12 +405,12 @@ func (c *compiler) compileBinary(x *ast.Binary) cexpr {
 			cmp := cmpFloatOpC(x.Op)
 			return mk(func(a, b value) value { return cmp(a.F, b.F) })
 		}
-		return c.fallbackExpr(x) // "bad float operation"
+		return fault[value](x.Pos(), 1, "bad float operation %s", x.Op)
 	}
 
 	rt := x.ExprType()
 	if rt == nil {
-		return c.fallbackExpr(x)
+		return fault[value](x.Pos(), 1, "untyped expression")
 	}
 	tr := truncC(rt)
 	pos := x.Pos()
@@ -467,11 +471,10 @@ func (c *compiler) compileBinary(x *ast.Binary) cexpr {
 		cmp := cmpIntOpC(x.Op, common.Unsigned)
 		return mk(func(a, b value) value { return cmp(a.I, b.I) })
 	}
-	return c.fallbackExpr(x) // "bad integer operation"
+	return fault[value](x.Pos(), 1, "bad integer operation %s", x.Op)
 }
 
-// compilePtrBinary compiles pointer arithmetic and pointer comparison,
-// mirroring the pointer branch of evalBinary.
+// compilePtrBinary compiles pointer arithmetic and pointer comparison.
 func (c *compiler) compilePtrBinary(x *ast.Binary, xt, yt *ctypes.Type, xIsPtr, yIsPtr bool) cexpr {
 	var cx, cy caddr
 	if xIsPtr {
@@ -488,8 +491,8 @@ func (c *compiler) compilePtrBinary(x *ast.Binary, xt, yt *ctypes.Type, xIsPtr, 
 	}
 	pos := x.Pos()
 
-	// elemScale mirrors ptrElemSize(pt, pos) with the size resolved at
-	// compile time when static; the dynamic path faults like the tree.
+	// elemScale computes ptrElemSize(pt, pos) with the size resolved at
+	// compile time when static; the dynamic path faults at run time.
 	elemScale := func(pt *ctypes.Type) func() int64 {
 		if pt != nil {
 			if esz, ok := staticSizeOfElem(pt.Elem); ok {
@@ -518,8 +521,9 @@ func (c *compiler) compilePtrBinary(x *ast.Binary, xt, yt *ctypes.Type, xIsPtr, 
 			return iv(b + a*esz())
 		}
 	case token.SUB:
-		// The tree-walker scales by xt's element size even when only the
-		// right operand is a pointer; keep that behaviour bit for bit.
+		// Scale by xt's element size even when only the right operand
+		// is a pointer (sema admits no int - pointer, so that case is
+		// never reached).
 		esz := elemScale(xt)
 		if xIsPtr && yIsPtr {
 			return func(t *thread, f *frame) value {
@@ -544,7 +548,7 @@ func (c *compiler) compilePtrBinary(x *ast.Binary, xt, yt *ctypes.Type, xIsPtr, 
 			return cmp(a, b)
 		}
 	}
-	return c.fallbackExpr(x) // "bad pointer operation"
+	return fault[value](x.Pos(), 1, "bad pointer operation %s", x.Op)
 }
 
 func cmpIntOpC(op token.Kind, unsigned bool) func(a, b int64) value {
@@ -612,7 +616,7 @@ func cmpFloatOpC(op token.Kind) func(a, b float64) value {
 func (c *compiler) compileAssign(x *ast.Assign) cexpr {
 	lt := x.LHS.ExprType()
 	if lt == nil {
-		return c.fallbackExpr(x)
+		return fault[value](x.Pos(), 1, "untyped expression")
 	}
 
 	// Whole-struct assignment is a hooked memcpy.
@@ -702,7 +706,7 @@ func (c *compiler) compileAssign(x *ast.Assign) cexpr {
 }
 
 // compoundC compiles compound() for the statically known operator and
-// operand types. Anything unusual falls back to the shared routine.
+// operand types. Anything unusual uses the shared routine.
 func compoundC(pos token.Pos, op token.Kind, lt, rt *ctypes.Type) func(old, rv value) value {
 	generic := func(old, rv value) value { return compound(pos, op, old, rv, lt, rt) }
 
@@ -711,8 +715,8 @@ func compoundC(pos token.Pos, op token.Kind, lt, rt *ctypes.Type) func(old, rv v
 		if !ok {
 			return generic
 		}
-		// Mirror the tree-walker: SUB negates the delta, every other
-		// compound operator on a pointer behaves like ADD.
+		// SUB negates the delta; every other compound operator on a
+		// pointer behaves like ADD (see compound).
 		if op == token.SUB {
 			return func(old, rv value) value { return iv(old.I - rv.I*esz) }
 		}
@@ -848,7 +852,7 @@ func (c *compiler) incDecStep(x *ast.IncDec, ty *ctypes.Type) func(old value) va
 func (c *compiler) compileIncDec(x *ast.IncDec) cexpr {
 	ty := x.ExprType()
 	if ty == nil {
-		return c.fallbackExpr(x)
+		return fault[value](x.Pos(), 1, "untyped expression")
 	}
 	if id, ok := x.X.(*ast.Ident); ok && c.isPromoted(id.Sym) {
 		return c.compilePromotedIncDec(x, id)
@@ -883,7 +887,7 @@ func (c *compiler) compileCall(x *ast.Call) cexpr {
 	if sym.Kind == ast.SymFunc {
 		cf := c.prog.funcs[sym.Fn]
 		if cf == nil {
-			return c.fallbackExpr(x)
+			return fault[value](pos, 1, "undefined function %s", sym.Name)
 		}
 		n := len(x.Args)
 		if n == 0 {
@@ -907,9 +911,6 @@ func (c *compiler) compileCall(x *ast.Call) cexpr {
 			return t.callCompiled(cf, args, pos)
 		}
 	}
-	if sym.Kind != ast.SymBuiltin {
-		return c.fallbackExpr(x)
-	}
 	return c.compileBuiltin(x)
 }
 
@@ -921,7 +922,8 @@ func (c *compiler) compileBuiltin(x *ast.Call) cexpr {
 	h := c.hooks
 	mm := c.mem
 
-	// allocDef mirrors the fresh-block definition report of evalCall.
+	// allocDef reports the definition of a fresh heap block to the
+	// profiler (see AccessSite.IsDef).
 	allocDef := func(t *thread, base, size int64) {
 		if h != nil {
 			if h.Store != nil && t.isMain {
@@ -1013,7 +1015,10 @@ func (c *compiler) compileBuiltin(x *ast.Call) cexpr {
 			return value{}
 		}
 	case ast.BExpandMalloc:
-		// Guard marker for an expanded allocation; see evalCall.
+		// Guard marker emitted by the expansion pass in place of an
+		// expanded allocation: span bytes per thread copy, esz = element
+		// size for interleaved layout (0 = bonded). Allocates all
+		// NumThreads copies in one block, like the plain expansion.
 		a0, a1 := arg(0), arg(1)
 		nt := int64(c.m.opts.NumThreads)
 		return func(t *thread, f *frame) value {
@@ -1116,5 +1121,5 @@ func (c *compiler) compileBuiltin(x *ast.Call) cexpr {
 			return iv(v)
 		}
 	}
-	return c.fallbackExpr(x) // "unknown builtin"
+	return fault[value](pos, 1, "unknown builtin %s", sym.Name)
 }

@@ -7,11 +7,11 @@ import (
 )
 
 // tickStmt wraps a compiled statement body with the per-statement work
-// tick and, when the machine has an op budget, the budget check —
-// exactly what exec() does before dispatching. A machine running under
-// a cancellable context (Options.Ctx) additionally polls the stop flag
-// at every statement; the check is compiled in only for such machines,
-// so batch runs keep the tick branch-free.
+// tick and, when the machine has an op budget, the budget check. A
+// machine running under a cancellable context (Options.Ctx)
+// additionally polls the stop flag at every statement; the check is
+// compiled in only for such machines, so batch runs keep the tick
+// branch-free.
 func (c *compiler) tickStmt(pos token.Pos, body cstmt) cstmt {
 	if c.cancellable {
 		max := c.maxOp
@@ -41,13 +41,7 @@ func (c *compiler) tickStmt(pos token.Pos, body cstmt) cstmt {
 	}
 }
 
-// fallbackStmt delegates a statement to the tree-walker (which ticks
-// and checks the budget itself).
-func (c *compiler) fallbackStmt(s ast.Stmt) cstmt {
-	return func(t *thread, f *frame) ctrl { return t.exec(f, s) }
-}
-
-// compileStmt compiles s to a closure mirroring exec(f, s).
+// compileStmt compiles s to a closure executing it.
 func (c *compiler) compileStmt(s ast.Stmt) cstmt {
 	pos := s.Pos()
 	switch x := s.(type) {
@@ -141,11 +135,12 @@ func (c *compiler) compileStmt(s ast.Stmt) cstmt {
 			return ctrlNext
 		})
 	}
-	return c.fallbackStmt(s) // "cannot execute statement"
+	return c.tickStmt(pos, fault[ctrl](pos, 0, "cannot execute statement"))
 }
 
-// compileBlock compiles a block body with execBlock's stack discipline
-// (no tick: function bodies run through here directly).
+// compileBlock compiles a block body, releasing the stack space its
+// declarations reserved on exit (no tick: function bodies run through
+// here directly).
 func (c *compiler) compileBlock(b *ast.Block) cstmt {
 	stmts := make([]cstmt, len(b.Stmts))
 	for i, s := range b.Stmts {
@@ -176,10 +171,9 @@ func (c *compiler) compileBlock(b *ast.Block) cstmt {
 	}
 }
 
-// compileDecl compiles one local variable declaration, mirroring
-// execDecl: size (VLA lengths evaluated at run time), alloca, slot
-// definition, profiler definition report, then the initializer without
-// access hooks.
+// compileDecl compiles one local variable declaration: size (VLA
+// lengths evaluated at run time), alloca, slot definition, profiler
+// definition report, then the initializer without access hooks.
 func (c *compiler) compileDecl(d *ast.VarDecl) func(t *thread, f *frame) {
 	pos := d.Pos()
 	ty := d.Type
@@ -257,7 +251,7 @@ func (c *compiler) compileDecl(d *ast.VarDecl) func(t *thread, f *frame) {
 		sz := ty.Size()
 		sizeOf = func(t *thread, f *frame) int64 { return sz }
 	default:
-		sizeOf = func(t *thread, f *frame) int64 { return ty.Size() } // faults like the tree
+		sizeOf = func(t *thread, f *frame) int64 { return ty.Size() } // faults at run time
 	}
 
 	var init func(t *thread, f *frame, a int64)
@@ -414,9 +408,9 @@ func (c *compiler) compileDoWhile(x *ast.DoWhile) cstmt {
 }
 
 // compileFor compiles a for loop, dispatching between sequential,
-// traced and parallel execution exactly like exec's *ast.For case. The
-// machine options that pick the mode are fixed at compile time; only
-// "am I already inside a parallel region" stays a runtime test.
+// traced and parallel execution. The machine options that pick the
+// mode are fixed at compile time; only "am I already inside a parallel
+// region" stays a runtime test.
 func (c *compiler) compileFor(x *ast.For) cstmt {
 	seq := c.compileSeqFor(x)
 	if x.Par == ast.Sequential {
@@ -433,24 +427,28 @@ func (c *compiler) compileFor(x *ast.For) cstmt {
 		return seq
 	}
 
-	var initB bodyFn
-	if x.Init != nil {
-		initB = bodyFn(c.compileStmt(x.Init))
+	var par *parFor
+	if traced == nil {
+		par = &parFor{x: x, bounds: c.compileBounds(x),
+			body: c.compileStmt(x.Body), seq: seq}
+		if x.Init != nil {
+			par.init = c.compileStmt(x.Init)
+		}
 	}
-	bodyB := bodyFn(c.compileStmt(x.Body))
 
 	return func(t *thread, f *frame) ctrl {
 		if !t.parallel && t.ts == nil {
 			if traced != nil {
 				return traced(t, f)
 			}
-			return t.runParallelFor(f, x, initB, bodyB, bodyFn(seq))
+			return t.runParallelFor(f, par)
 		}
 		return seq(t, f)
 	}
 }
 
-// compileSeqFor mirrors execSeqFor.
+// compileSeqFor compiles a for loop run sequentially (also used for
+// parallel loops under one thread or ForceSequential).
 func (c *compiler) compileSeqFor(x *ast.For) cstmt {
 	var init cstmt
 	if x.Init != nil {
@@ -484,12 +482,21 @@ func (c *compiler) compileSeqFor(x *ast.For) cstmt {
 			if t.cancel != nil && t.cancel.Load() {
 				panic(regionCanceled{}) // cancelled region safe point
 			}
+			// Fire the iteration hook before the condition so the profiler
+			// attributes condition and post-expression accesses to the
+			// iteration they belong to (see package profile).
 			if h != nil && t.isMain && h.LoopIter != nil {
 				h.LoopIter(id, iter)
 			}
 			if test != nil && !test(t, f) {
 				break
 			}
+			// A sequentially executed DOACROSS body still runs its
+			// SyncWait/SyncPost statements; they are no-ops without an
+			// order (syncWait checks t.order first). No bookkeeping may
+			// happen here: this path also executes nested parallel loops
+			// inside a worker's iteration, and touching t.curIter would
+			// corrupt the worker's ordered-section ticket.
 			iter++
 			cc := body(t, f)
 			if cc == ctrlBreak {
@@ -509,8 +516,9 @@ func (c *compiler) compileSeqFor(x *ast.For) cstmt {
 	}
 }
 
-// compileTracedFor mirrors execTracedFor: sequential execution of a
-// parallel loop while recording the per-iteration cost trace.
+// compileTracedFor compiles a parallel loop for sequential execution
+// that records the per-iteration cost trace the schedule simulator
+// replays.
 func (c *compiler) compileTracedFor(x *ast.For) cstmt {
 	var init cstmt
 	if x.Init != nil {

@@ -1,8 +1,8 @@
 package interp
 
 // Table-driven tests for the scalar conversion helpers. These pin the
-// C conversion semantics both execution engines rely on: convC (the
-// compiled engine's specialization of convert) is checked against the
+// C conversion semantics the engine relies on: convC (the compiled
+// engine's specialization of convert) is checked against the
 // same tables via compile.go's unit under test being identical by
 // construction, so the tables here are the single source of truth for
 // what a MiniC cast does.

@@ -2,9 +2,8 @@ package interp
 
 // Table-driven tests for the compiler's constant folder, focused on
 // the short-circuit forms (&& / || / ?:). Folding must be tick-exact:
-// the tree-walker never evaluates — or ticks — the branch a decided
-// condition skips, so the folded tick count covers only the taken
-// path. A decided left operand folds the whole expression even when
+// evaluation never visits — or ticks — the branch a decided condition
+// skips, so the folded tick count covers only the taken path. A decided left operand folds the whole expression even when
 // the other side is not constant.
 
 import (
@@ -47,7 +46,7 @@ func TestConstFoldShortCircuit(t *testing.T) {
 	tests := []struct {
 		expr  string
 		want  int64 // folded value
-		ticks int64 // tree-walker ticks for the taken path
+		ticks int64 // evaluation ticks for the taken path
 	}{
 		// Both operands constant: 1 tick per literal + 1 for the node.
 		{"1 && 2", 1, 3},

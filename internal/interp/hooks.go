@@ -25,7 +25,7 @@ package interp
 // panic unwinds.
 // HasAccessHooks reports whether the set carries a per-access hook —
 // Redirect, Load, Store or Observe — i.e. whether attaching it forces
-// every sited memory access through the engines' slow path. Hook sets
+// every sited memory access through the engine's slow path. Hook sets
 // with only region- and loop-level interest (the observability
 // adapter's standard tier) leave loads and stores on the fast path.
 // Safe on nil.

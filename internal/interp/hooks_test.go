@@ -130,8 +130,8 @@ func TestChainHooksNilLayers(t *testing.T) {
 	}
 }
 
-// TestHasAccessHooks pins the fast-path predicate both engines key
-// their load/store compilation on.
+// TestHasAccessHooks pins the fast-path predicate the engine keys its
+// load/store compilation on.
 func TestHasAccessHooks(t *testing.T) {
 	var h *Hooks
 	if h.HasAccessHooks() {

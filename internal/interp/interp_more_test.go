@@ -4,6 +4,12 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"gdsx/internal/ast"
+	"gdsx/internal/ctypes"
+	"gdsx/internal/parser"
+	"gdsx/internal/sema"
+	"gdsx/internal/token"
 )
 
 func TestFloat32Rounding(t *testing.T) {
@@ -497,5 +503,51 @@ int main() {
 	got := run(t, src, Options{NumThreads: 4}).Output
 	if got != "64" {
 		t.Fatalf("got %q", got)
+	}
+}
+
+// TestFaultClosures: a construct sema never produces compiles to a
+// closure that raises a positioned runtime error when it executes, not
+// when the program is compiled — at both optimization levels.
+func TestFaultClosures(t *testing.T) {
+	const src = "int main() {\n  int a = 1;\n  a = -a;\n  return a;\n}\n"
+	cases := []struct {
+		name    string
+		rewrite func(n ast.Node)
+		want    string
+	}{
+		{"bad unary operator", func(n ast.Node) {
+			if u, ok := n.(*ast.Unary); ok && u.Op == token.SUB {
+				u.Op = token.XOR
+			}
+		}, "t.c:3:7: runtime error: bad unary operator ^"},
+		{"no address", func(n ast.Node) {
+			if a, ok := n.(*ast.Assign); ok {
+				lit := &ast.IntLit{Value: 0}
+				lit.P = a.LHS.Pos()
+				lit.SetType(ctypes.IntType)
+				a.LHS = lit
+			}
+		}, "t.c:3:3: runtime error: expression has no address"},
+	}
+	for _, tc := range cases {
+		for _, opt := range []OptLevel{OptNone, OptDefault} {
+			prog, err := parser.Parse("t.c", src)
+			if err != nil {
+				t.Fatalf("Parse: %v", err)
+			}
+			info, err := sema.Check(prog)
+			if err != nil {
+				t.Fatalf("Check: %v", err)
+			}
+			ast.Inspect(prog.Func("main").Body, func(n ast.Node) bool {
+				tc.rewrite(n)
+				return true
+			})
+			m := New(prog, info, Options{Opt: opt})
+			if _, err := m.Run(); err == nil || err.Error() != tc.want {
+				t.Errorf("%s (opt %d): error %v, want %q", tc.name, opt, err, tc.want)
+			}
+		}
 	}
 }

@@ -75,7 +75,7 @@ type Hooks struct {
 	Observe func(ev Access)
 	// RegionOnly declares that this set's per-access hooks (Redirect/
 	// Load/Store/Observe) only need events from threads executing
-	// inside a parallel region. The engines then keep sequential-
+	// inside a parallel region. The engine then keeps sequential-
 	// context accesses on the fast path (and re-enable scalar register
 	// promotion, which never applies inside parallel subtrees anyway).
 	// The guard monitor sets it: the monitor is inert between regions.
@@ -175,14 +175,9 @@ type Options struct {
 	// Larger chunks amortize dispatch but narrow the ordered-section
 	// pipeline (see the chunk-sweep ablation).
 	DispatchChunk int
-	// Engine selects the execution engine. The zero value is the
-	// closure-compiling engine; EngineTree is the tree-walking
-	// reference implementation (see engine.go).
-	Engine Engine
-	// Opt selects how much of the compiled engine's optimization
-	// pipeline applies (see opt.go). The zero value is the full
-	// pipeline; OptNone reproduces the unoptimized closures.
-	// Setting Engine to EngineCompiledNoOpt forces OptNone.
+	// Opt selects how much of the engine's optimization pipeline
+	// applies (see opt.go). The zero value is the full pipeline;
+	// OptNone reproduces the unoptimized closures.
 	Opt OptLevel
 	// OptProfile, when set, drives profile-guided site specialization:
 	// the hottest sites it names get flattened load/store accessors.
@@ -210,11 +205,11 @@ type Options struct {
 	FaultPlan *FaultPlan
 	// Ctx, when non-nil, cancels the run cooperatively: its Done channel
 	// is watched for the duration of Run, and every statement boundary
-	// in both engines — plus the spin and idle loops of the parallel
-	// schedulers — is a cancellation safe point. A cancelled run winds
-	// down all workers (no goroutine leaks, no partial guard analysis:
-	// the region's hooks see ParallelCancel) and returns *CancelledError
-	// wrapping context.Cause. It composes with RegionTimeout: the
+	// — plus the spin and idle loops of the parallel schedulers — is a
+	// cancellation safe point. A cancelled run winds down all workers
+	// (no goroutine leaks, no partial guard analysis: the region's
+	// hooks see ParallelCancel) and returns *CancelledError wrapping
+	// context.Cause. It composes with RegionTimeout: the
 	// watchdog bounds one region, the context bounds the whole run.
 	Ctx context.Context
 	// Memory, when non-nil, is the simulated memory to execute against
@@ -226,10 +221,6 @@ type Options struct {
 }
 
 func (o *Options) fill() {
-	if o.Engine == EngineCompiledNoOpt {
-		o.Engine = EngineCompiled
-		o.Opt = OptNone
-	}
 	if o.NumThreads <= 0 {
 		o.NumThreads = 1
 	}
@@ -295,23 +286,16 @@ type Machine struct {
 	recovery *recoveryState
 
 	// stop is the cooperative-cancellation flag: set (once) by the
-	// context watcher while Options.Ctx is cancellable. Both engines
-	// poll it at statement boundaries, and the scheduler spin loops poll
+	// context watcher while Options.Ctx is cancellable. Compiled code
+	// polls it at statement boundaries, and the scheduler spin loops poll
 	// it alongside the region-cancel flag. cancelCause is written before
 	// the release-store of stop, so any thread that observes stop also
 	// observes the cause.
 	stop        atomic.Bool
 	cancelCause error
 
-	// accessHooks is opts.Hooks when the chain carries a per-access
-	// hook (Redirect/Load/Store/Observe), else nil. The access paths of
-	// both engines branch on this instead of opts.Hooks so that hook
-	// layers with only region-level interest (the observer's standard
-	// tier) leave every load and store on the fast path.
-	accessHooks *Hooks
-
-	// code holds the closure-compiled function bodies when the machine
-	// runs with EngineCompiled; nil under EngineTree.
+	// code holds the closure-compiled function bodies and global
+	// initializers.
 	code *compiledProg
 }
 
@@ -349,21 +333,8 @@ func New(prog *ast.Program, info *sema.Info, opts Options) *Machine {
 	if opts.FaultPlan != nil {
 		m.faults = &faultState{plan: *opts.FaultPlan}
 	}
-	if m.opts.Hooks.HasAccessHooks() {
-		m.accessHooks = m.opts.Hooks
-	}
-	if opts.Engine == EngineCompiled {
-		m.code = compileProgram(m)
-	}
+	m.code = compileProgram(m)
 	return m
-}
-
-// Engine reports which execution engine the machine uses.
-func (m *Machine) Engine() Engine {
-	if m.code != nil {
-		return EngineCompiled
-	}
-	return EngineTree
 }
 
 // Mem exposes the simulated memory (used by hooks and tests).
@@ -483,12 +454,7 @@ func (m *Machine) Run() (res Result, err error) {
 		return Result{}, terr
 	}
 	mainFn := m.prog.Func("main")
-	var ret value
-	if m.code != nil {
-		ret = t.callCompiled(m.code.funcs[mainFn], nil, mainFn.Pos())
-	} else {
-		ret = t.call(mainFn, nil, mainFn.Pos())
-	}
+	ret := t.callCompiled(m.code.funcs[mainFn], nil, mainFn.Pos())
 	m.mergeCounters(t)
 	res = Result{
 		Exit:     ret.I,
@@ -570,19 +536,17 @@ func (m *Machine) initGlobals() error {
 		}
 		m.globalAddr[i] = addr
 	}
-	// Initializers may reference other globals (constants only), so a
-	// scratch thread evaluates them after all allocation.
+	// Initializers are constant expressions, compiled with the function
+	// bodies; a scratch thread evaluates them after all allocation.
 	t, err := m.newThread(0)
 	if err != nil {
 		return err
 	}
 	defer t.release()
 	for i, g := range m.info.Globals {
-		if g.Init == nil {
-			continue
+		if init := m.code.globals[i]; init != nil {
+			t.storeTyped(m.globalAddr[i], g.Type, init(t, nil))
 		}
-		v := t.eval(nil, g.Init)
-		t.storeTyped(m.globalAddr[i], g.Type, convert(v, g.Init.ExprType(), g.Type))
 	}
 	return nil
 }

@@ -1,17 +1,17 @@
 // Optimization pipeline for the compiled engine.
 //
 // compileProgram runs three passes between sema and closure emission,
-// all off when Options.Opt == OptNone (the compiled-noopt engine):
+// all off when Options.Opt == OptNone (-engine compiled-noopt):
 //
 //  1. Scalar register promotion (opt_promote.go): locals whose address
 //     is never taken live in Go-native frame slots (frame.regs) in
 //     addition to their simulated-memory alloca. Reads come from the
 //     register; writes update the register and write through to the
 //     backing bytes, so simulated memory stays byte-identical to an
-//     unoptimized run and every tree-walked or unfused read remains
-//     correct. Promotion is disabled whenever an observer could see
-//     the difference: per-access hooks, parallel tracing, or an
-//     attached Observer (whose mem_ops metric counts cache touches).
+//     unoptimized run and every unfused read remains correct.
+//     Promotion is disabled whenever an observer could see the
+//     difference: per-access hooks, parallel tracing, or an attached
+//     Observer (whose mem_ops metric counts cache touches).
 //
 //  2. Superinstruction fusion (opt_fuse.go): constant and promoted
 //     operands are folded into their consumers — indexed addressing
@@ -33,8 +33,8 @@ import (
 	"gdsx/internal/obs"
 )
 
-// OptLevel selects how much of the optimization pipeline the compiled
-// engine applies. The zero value is the full pipeline.
+// OptLevel selects how much of the optimization pipeline the engine
+// applies. The zero value is the full pipeline.
 type OptLevel int
 
 const (
@@ -45,6 +45,19 @@ const (
 	// the pipeline existed; -engine compiled-noopt selects this.
 	OptNone
 )
+
+// OptFromEngine parses an -engine flag value ("compiled",
+// "compiled-noopt", or "" for the default) into the optimization level
+// it selects. Unknown names report ok == false.
+func OptFromEngine(name string) (OptLevel, bool) {
+	switch name {
+	case "", "compiled":
+		return OptDefault, true
+	case "compiled-noopt":
+		return OptNone, true
+	}
+	return OptDefault, false
+}
 
 // DefaultProfileTopK is how many of the hottest sites a SiteProfile
 // specializes when TopK is left zero.
@@ -129,10 +142,11 @@ func newOptConfig(m *Machine) optConfig {
 	// scalars promotion hides are exactly frame slots — sequential-
 	// context ones under RegionOnly, worker-own-stack ones (helpers
 	// called from loop bodies) under PrivateStacks.
-	cfg.promote = (m.accessHooks == nil ||
-		(m.accessHooks.RegionOnly && m.accessHooks.PrivateStacks)) &&
+	h := m.opts.Hooks
+	access := h.HasAccessHooks()
+	cfg.promote = (!access || (h.RegionOnly && h.PrivateStacks)) &&
 		!m.opts.TraceParallel && m.opts.Obs == nil
-	if m.accessHooks == nil {
+	if !access {
 		cfg.hot = m.opts.OptProfile.hotSet()
 	}
 	return cfg

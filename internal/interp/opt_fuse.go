@@ -67,8 +67,8 @@ func orIdent(cv cconv) cconv {
 // fuseOperand compiles e into an unticked evaluator when e is free of
 // memory traffic, hooks and faults other than the declared check:
 // compile-time constants and register-promoted scalars. ticks is the
-// number of work-counter ticks the tree-walker would record for the
-// subtree; the consumer adds them to its own bump.
+// number of work-counter ticks evaluating the subtree records; the
+// consumer adds them to its own bump.
 func (c *compiler) fuseOperand(e ast.Expr) (ev cexpr, ticks int64, ok bool) {
 	if !c.opt.fuse {
 		return nil, 0, false

@@ -17,49 +17,48 @@ type loopBounds struct {
 	start, step, n int64
 }
 
-// bounds computes the iteration space. Parallel loops require
-// loop-invariant bound and step expressions (as in OpenMP); both are
-// evaluated once, here.
-func (t *thread) bounds(f *frame, x *ast.For) loopBounds {
+// compileBounds compiles the iteration-space computation of parallel
+// loop x. Parallel loops require loop-invariant bound and step
+// expressions (as in OpenMP); the returned closure evaluates both once
+// per region entry. Sema admits only the step shapes i++, i += e and
+// i = i + e (or e + i), and only a comparison as the condition; the
+// shapes it admits but the runtime cannot use fail at region entry.
+func (c *compiler) compileBounds(x *ast.For) func(t *thread, f *frame) loopBounds {
 	iv := x.IndVar
-	start := t.loadTyped(t.symAddr(f, iv, x.Pos()), iv.Type).I
+	pos := x.Pos()
 
-	// Step from the post expression.
-	var step int64
+	// Step from the post expression; nil means a zero step.
+	var step cexpr
+	unsupported := false
 	switch p := x.Post.(type) {
 	case *ast.IncDec:
-		step = 1
+		step = func(t *thread, f *frame) value { return value{I: 1} }
 	case *ast.Assign:
 		switch p.Op {
 		case token.ADDASSIGN:
-			step = t.eval(f, p.RHS).I
+			step = c.compileExpr(p.RHS)
 		case token.ASSIGN:
 			b, ok := p.RHS.(*ast.Binary)
-			if !ok || b.Op != token.ADD {
-				rterrf(x.Pos(), "unsupported parallel loop step")
+			if ok && b.Op == token.ADD {
+				if id, ok := b.X.(*ast.Ident); ok && id.Sym == iv {
+					step = c.compileExpr(b.Y)
+				} else if id, ok := b.Y.(*ast.Ident); ok && id.Sym == iv {
+					step = c.compileExpr(b.X)
+				}
 			}
-			if id, ok := b.X.(*ast.Ident); ok && id.Sym == iv {
-				step = t.eval(f, b.Y).I
-			} else if id, ok := b.Y.(*ast.Ident); ok && id.Sym == iv {
-				step = t.eval(f, b.X).I
-			} else {
-				rterrf(x.Pos(), "unsupported parallel loop step")
-			}
+			unsupported = step == nil
 		}
 	}
-	if step == 0 {
-		rterrf(x.Pos(), "parallel loop has zero step")
-	}
 
-	// Bound from the condition.
+	// Bound from the condition, mirrored so the induction variable is
+	// on the left; nil when the condition does not test it.
 	cond := x.Cond.(*ast.Binary)
 	op := cond.Op
-	var bound int64
+	var bound cexpr
 	if id, ok := cond.X.(*ast.Ident); ok && id.Sym == iv {
-		bound = t.eval(f, cond.Y).I
+		bound = c.compileExpr(cond.Y)
 	} else if id, ok := cond.Y.(*ast.Ident); ok && id.Sym == iv {
-		bound = t.eval(f, cond.X).I
-		// Mirror the comparison so the induction variable is on the left.
+		bound = c.compileExpr(cond.X)
 		switch op {
 		case token.LSS:
 			op = token.GTR
@@ -70,10 +69,30 @@ func (t *thread) bounds(f *frame, x *ast.For) loopBounds {
 		case token.GEQ:
 			op = token.LEQ
 		}
-	} else {
-		rterrf(x.Pos(), "parallel loop condition does not test the induction variable")
 	}
 
+	return func(t *thread, f *frame) loopBounds {
+		start := t.loadTyped(t.symAddr(f, iv, pos), iv.Type).I
+		if unsupported {
+			rterrf(pos, "unsupported parallel loop step")
+		}
+		var st int64
+		if step != nil {
+			st = step(t, f).I
+		}
+		if st == 0 {
+			rterrf(pos, "parallel loop has zero step")
+		}
+		if bound == nil {
+			rterrf(pos, "parallel loop condition does not test the induction variable")
+		}
+		return iterSpace(start, st, bound(t, f).I, op)
+	}
+}
+
+// iterSpace counts the iterations of a loop running its induction
+// variable from start by step while "indvar op bound" holds.
+func iterSpace(start, step, bound int64, op token.Kind) loopBounds {
 	var n int64
 	switch op {
 	case token.LSS:
@@ -114,10 +133,18 @@ func hasSyncStmts(body ast.Stmt) bool {
 	return found
 }
 
-// bodyFn executes a loop body (or other statement) for one of the two
-// engines; the parallel-loop machinery below is engine-agnostic and
-// receives the body as a closure.
-type bodyFn func(t *thread, f *frame) ctrl
+// parFor is a parallel for loop compiled for runParallelFor: init
+// executes the loop initializer (nil when the loop has none), bounds
+// computes the iteration space, body executes one iteration's body,
+// and seq executes the entire loop sequentially on the calling thread
+// (the sequential-for path), used by region recovery and demotion.
+type parFor struct {
+	x      *ast.For
+	init   cstmt
+	bounds func(t *thread, f *frame) loopBounds
+	body   cstmt
+	seq    cstmt
+}
 
 // runParallelFor executes a parallel-annotated for loop with
 // N = Options.NumThreads simulated threads, one goroutine each.
@@ -126,11 +153,7 @@ type bodyFn func(t *thread, f *frame) ctrl
 // and DOACROSS loops self-schedule in chunks; SchedStatic restores the
 // paper's Gomp schedules (§4.3) — static chunking for DOALL, dynamic
 // chunk-1 plus ordered-section tickets for DOACROSS — and SchedDynamic
-// self-schedules everything from a shared counter. init executes the loop
-// initializer (nil when the loop has none) and body one iteration's
-// body; seq executes the entire loop sequentially on the calling
-// thread (the engine's sequential-for path), used by region recovery
-// and demotion. Both engines share everything else.
+// self-schedules everything from a shared counter.
 //
 // Without Options.Recover the parallel attempt's failures propagate as
 // panics (Machine.Run unwraps them into errors); with it, a guard
@@ -139,15 +162,16 @@ type bodyFn func(t *thread, f *frame) ctrl
 // survives at O(region) cost. Sequential execution returns whatever
 // control outcome the loop produced (a sequential re-execution may
 // legally break or return, which a parallel run rejects).
-func (t *thread) runParallelFor(f *frame, x *ast.For, init, body, seq bodyFn) ctrl {
+func (t *thread) runParallelFor(f *frame, p *parFor) ctrl {
+	x := p.x
 	rc := t.m.recovery
 	if rc == nil {
-		t.parallelAttempt(f, x, init, body)
+		t.parallelAttempt(f, p)
 		return ctrlNext
 	}
 	if !rc.admit(x.ID) {
 		// Demoted: run sequentially without snapshot or region hooks.
-		return seq(t, f)
+		return p.seq(t, f)
 	}
 	snap := t.beginRegionSnapshot()
 	var fail *regionFault
@@ -181,7 +205,7 @@ func (t *thread) runParallelFor(f *frame, x *ast.For, init, body, seq bodyFn) ct
 				panic(r)
 			}
 		}()
-		t.parallelAttempt(f, x, init, body)
+		t.parallelAttempt(f, p)
 	}()
 	if fail == nil {
 		// Chaos injection (Options.FaultPlan): an otherwise-committing
@@ -207,18 +231,19 @@ func (t *thread) runParallelFor(f *frame, x *ast.For, init, body, seq bodyFn) ct
 	// pre-region state. On thread 0 the expanded program touches only
 	// copy 0 of every expanded structure, so this reproduces native
 	// sequential semantics.
-	return seq(t, f)
+	return p.seq(t, f)
 }
 
 // parallelAttempt runs one parallel execution of the region. It
 // returns normally on success and panics on failure: interp.Abort for
 // a guard violation (raised by the monitor's safe-point hook),
 // regionFault for a contained worker fault or a watchdog timeout.
-func (t *thread) parallelAttempt(f *frame, x *ast.For, init, body bodyFn) {
-	if init != nil {
-		init(t, f)
+func (t *thread) parallelAttempt(f *frame, p *parFor) {
+	x, body := p.x, p.body
+	if p.init != nil {
+		p.init(t, f)
 	}
-	lb := t.bounds(f, x)
+	lb := p.bounds(t, f)
 	iv := x.IndVar
 	ivAddr := t.symAddr(f, iv, x.Pos())
 	n := lb.n
@@ -424,7 +449,7 @@ func firstFault(faults []*workerFault) *workerFault {
 
 // runStaticChunk executes a contiguous block of iterations (DOALL
 // static scheduling, as with Gomp's static chunking).
-func (w *thread) runStaticChunk(f *frame, x *ast.For, lb loopBounds, pvAddr int64, body bodyFn) {
+func (w *thread) runStaticChunk(f *frame, x *ast.For, lb loopBounds, pvAddr int64, body cstmt) {
 	nt := int64(w.m.opts.NumThreads)
 	chunk := lb.n / nt
 	rem := lb.n % nt
@@ -465,7 +490,7 @@ func (w *thread) runStaticChunk(f *frame, x *ast.For, lb loopBounds, pvAddr int6
 // entering ordered sections in iteration order via the ticket in
 // order. Dispatch is charged as one CatSync op per iteration under
 // every chunk size, so counters stay policy-independent.
-func (w *thread) runDynamic(f *frame, x *ast.For, lb loopBounds, pvAddr int64, next *atomic.Int64, chunk int64, order *orderState, body bodyFn) {
+func (w *thread) runDynamic(f *frame, x *ast.For, lb loopBounds, pvAddr int64, next *atomic.Int64, chunk int64, order *orderState, body cstmt) {
 	w.order = order
 	defer func() { w.order = nil }()
 	var iterStart, iterEnd func(loopID int, iter int64, tid int)

@@ -184,7 +184,7 @@ func newStealState(n int64, nt int) *stealState {
 // Tick parity: dispatch is charged as one CatSync op per worker, the
 // same accounting as static chunking, so counters are bit-identical
 // across scheduling policies.
-func (w *thread) runStealing(f *frame, x *ast.For, lb loopBounds, pvAddr int64, st *stealState, body bodyFn) {
+func (w *thread) runStealing(f *frame, x *ast.For, lb loopBounds, pvAddr int64, st *stealState, body cstmt) {
 	var iterStart, iterEnd func(loopID int, iter int64, tid int)
 	if h := w.m.opts.Hooks; h != nil {
 		iterStart, iterEnd = h.IterStart, h.IterEnd
@@ -270,7 +270,7 @@ func (w *thread) runStealing(f *frame, x *ast.For, lb loopBounds, pvAddr int64, 
 // DispatchChunk-sized grabs from a shared counter (SchedDynamic).
 // Dispatch is charged as one CatSync op per worker — DOALL accounting
 // is policy-independent.
-func (w *thread) runDOALLDynamic(f *frame, x *ast.For, lb loopBounds, pvAddr int64, next *atomic.Int64, chunk int64, body bodyFn) {
+func (w *thread) runDOALLDynamic(f *frame, x *ast.For, lb loopBounds, pvAddr int64, next *atomic.Int64, chunk int64, body cstmt) {
 	var iterStart, iterEnd func(loopID int, iter int64, tid int)
 	if h := w.m.opts.Hooks; h != nil {
 		iterStart, iterEnd = h.IterStart, h.IterEnd
@@ -311,7 +311,7 @@ func (w *thread) runDOALLDynamic(f *frame, x *ast.For, lb loopBounds, pvAddr int
 // is slower than self-scheduling but preserves sequential semantics
 // exactly. Dispatch is charged per iteration — DOACROSS accounting is
 // policy-independent.
-func (w *thread) runOrderedStatic(f *frame, x *ast.For, lb loopBounds, pvAddr int64, order *orderState, body bodyFn) {
+func (w *thread) runOrderedStatic(f *frame, x *ast.For, lb loopBounds, pvAddr int64, order *orderState, body cstmt) {
 	w.order = order
 	defer func() { w.order = nil }()
 	nt := int64(w.m.opts.NumThreads)

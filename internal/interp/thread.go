@@ -170,15 +170,6 @@ func (t *thread) finishCall(fn *ast.FuncDecl, mark int64, c ctrl, pos token.Pos)
 	return value{}
 }
 
-// call invokes fn with already-evaluated argument values under the
-// tree-walking engine.
-func (t *thread) call(fn *ast.FuncDecl, args []value, pos token.Pos) value {
-	mark := t.sp
-	f := t.bindArgs(fn, args, pos)
-	c := t.execBlock(f, fn.Body)
-	return t.finishCall(fn, mark, c, pos)
-}
-
 // callCompiled invokes a closure-compiled function with
 // already-evaluated argument values.
 func (t *thread) callCompiled(cf *compiledFunc, args []value, pos token.Pos) value {

@@ -5,10 +5,10 @@
 // positions per expanded copy.
 //
 // The package is deliberately a leaf: it imports only the standard
-// library, so every layer of the stack — the interpreter (both
-// engines, through the shared hook layer), the guard monitor, the
-// region-recovery controller and the simulated allocator — can feed it
-// without import cycles. All producers share one discipline: a nil
+// library, so every layer of the stack — the interpreter (through the
+// shared hook layer), the guard monitor, the region-recovery
+// controller and the simulated allocator — can feed it without import
+// cycles. All producers share one discipline: a nil
 // *Observer (or a nil component inside one) short-circuits at the
 // first branch, so a run without observability pays nothing beyond a
 // pointer test.

@@ -154,6 +154,8 @@ func (c *checker) program(prog *ast.Program) error {
 			}
 			if x.VLALen != nil {
 				c.errf(x.Pos(), "global %s has dynamic array size", x.Name)
+			} else if !x.Type.HasStaticSize() {
+				c.errf(x.Pos(), "global %s has incomplete type %s", x.Name, x.Type)
 			}
 			sym := &ast.Symbol{
 				Name: x.Name, Kind: ast.SymGlobal, Type: x.Type,
@@ -311,6 +313,8 @@ func (c *checker) stmt(s ast.Stmt) {
 				if t := d.VLALen.ExprType(); t != nil && !t.IsInteger() {
 					c.errf(d.Pos(), "array length of %s is not an integer", d.Name)
 				}
+			} else if !d.Type.HasStaticSize() {
+				c.errf(d.Pos(), "%s has incomplete type %s", d.Name, d.Type)
 			}
 			if d.Init != nil {
 				d.Init = c.expr(d.Init, rvalue)

@@ -147,6 +147,10 @@ func TestErrors(t *testing.T) {
 		{"arg count", "int f(int a) { return a; } int main() { return f(1, 2); }", "expects 1 arguments"},
 		{"ptr mismatch", "int main() { double *d; int *p; p = d; return 0; }", "incompatible pointer"},
 		{"deref int", "int main() { int x; return *x; }", "dereferencing non-pointer"},
+		// Found by FuzzCompileRun: the global allocator sized this with a
+		// panic instead of a diagnostic.
+		{"unsized global", "long g[]; int main() { return 0; }", "global g has incomplete type"},
+		{"unsized local", "int main() { long a[]; return 0; }", "a has incomplete type"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -58,7 +58,8 @@ type Options struct {
 	// Threads is the simulated thread count (default 4, clamped to the
 	// server's MaxThreads).
 	Threads int `json:"threads,omitempty"`
-	// Engine selects "compiled" (default), "compiled-noopt" or "tree".
+	// Engine selects "compiled" (default) or "compiled-noopt";
+	// ParseRequest resolves it to opt.
 	Engine string `json:"engine,omitempty"`
 	// Sched selects "stealing" (default), "static" or "dynamic".
 	Sched string `json:"sched,omitempty"`
@@ -80,6 +81,9 @@ type Options struct {
 	// by the chaos harness to exercise the recovery ladder end to end.
 	FaultSuspectEvery  int `json:"fault_suspect_every,omitempty"`
 	FaultRollbackEvery int `json:"fault_rollback_every,omitempty"`
+
+	// opt is the optimization level Engine names.
+	opt gdsx.OptLevel
 }
 
 // Request is the body of POST /run.
@@ -187,9 +191,11 @@ func ParseRequest(body []byte, lim Limits) (*Request, *Error) {
 	if o.Threads == 0 {
 		o.Threads = lim.DefaultThreads
 	}
-	if _, ok := gdsx.EngineFromString(o.Engine); !ok {
+	opt, ok := gdsx.OptFromEngine(o.Engine)
+	if !ok {
 		return nil, errf(CodeBadReq, "unknown engine %q", o.Engine)
 	}
+	o.opt = opt
 	if _, ok := gdsx.SchedFromString(o.Sched); !ok {
 		return nil, errf(CodeBadReq, "unknown scheduler %q", o.Sched)
 	}

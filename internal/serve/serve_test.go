@@ -162,7 +162,7 @@ func TestRunEndpointBasics(t *testing.T) {
 func TestEnginesAndSchedulersAgree(t *testing.T) {
 	_, ts := testServer(t, Config{})
 	var want string
-	for _, engine := range []string{"compiled", "compiled-noopt", "tree"} {
+	for _, engine := range []string{"compiled", "compiled-noopt"} {
 		for _, sched := range []string{"stealing", "static", "dynamic"} {
 			resp, body := postRun(t, ts.URL, Request{
 				Source:  parSrc,
@@ -175,6 +175,30 @@ func TestEnginesAndSchedulersAgree(t *testing.T) {
 				t.Fatalf("%s/%s output %q, want %q", engine, sched, r.Output, want)
 			}
 		}
+	}
+}
+
+// TestEngineSelection: "engine" names an optimization level of the one
+// engine. compiled-noopt must answer exactly like compiled (output and
+// operation count); any other name, the retired tree walker included,
+// is a bad request.
+func TestEngineSelection(t *testing.T) {
+	_, ts := testServer(t, Config{})
+	var got [2]Response
+	for i, engine := range []string{"compiled", "compiled-noopt"} {
+		resp, body := postRun(t, ts.URL, Request{Source: parSrc, Options: Options{Engine: engine}})
+		got[i] = decodeOK(t, resp, body)
+	}
+	if got[0].Output != got[1].Output || got[0].Ops != got[1].Ops {
+		t.Fatalf("compiled-noopt answered %q (%d ops), compiled %q (%d ops)",
+			got[1].Output, got[1].Ops, got[0].Output, got[0].Ops)
+	}
+	resp, body := postRun(t, ts.URL, Request{Source: parSrc, Options: Options{Engine: "tree"}})
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("engine tree: status %d, want 400: %s", resp.StatusCode, body)
+	}
+	if e := decodeErr(t, body); e.Code != CodeBadReq {
+		t.Fatalf("engine tree: code %s, want %s", e.Code, CodeBadReq)
 	}
 }
 
@@ -500,7 +524,7 @@ func TestShedSequentialStillCorrect(t *testing.T) {
 	if r.ShedLevel != ShedSequential {
 		t.Fatalf("shed level %d, want %d", r.ShedLevel, ShedSequential)
 	}
-	resp2, body2 := postRun(t, ts.URL, Request{Source: parSrc, Options: Options{Engine: "tree"}})
+	resp2, body2 := postRun(t, ts.URL, Request{Source: parSrc, Options: Options{Engine: "compiled-noopt"}})
 	if r2 := decodeOK(t, resp2, body2); r2.Output != r.Output {
 		t.Fatalf("shed output %q != %q", r.Output, r2.Output)
 	}

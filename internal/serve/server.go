@@ -448,11 +448,10 @@ func (s *Server) execute(ctx context.Context, req *Request, level int, rq *reqSt
 	arena := s.pool.Get()
 	defer s.pool.Put(arena)
 
-	engine, _ := gdsx.EngineFromString(o.Engine)
 	sched, _ := gdsx.SchedFromString(o.Sched)
 	ropts := gdsx.RunOptions{
 		Threads:  o.Threads,
-		Engine:   engine,
+		Opt:      o.opt,
 		Sched:    sched,
 		MemLimit: o.MemLimit,
 		MaxOps:   o.MaxOps,
@@ -515,7 +514,7 @@ func (s *Server) execute(ctx context.Context, req *Request, level int, rq *reqSt
 		// its observer with the harvest (one observer per run) instead of
 		// attaching a second one.
 		harvest := (*gdsx.Observer)(nil)
-		if level <= ShedNone && engine == gdsx.EngineCompiled {
+		if level <= ShedNone && o.opt == gdsx.OptDefault {
 			if p := entry.Profile(); p != nil {
 				ropts.OptProfile = p
 			} else if rq.traced {

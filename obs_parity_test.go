@@ -1,17 +1,19 @@
 package gdsx
 
-// Observability parity between the execution engines. The engines
-// already cross-validate on output and counters (engine_test.go);
-// these tests extend the contract to the observability layer: both
-// engines must emit the same canonical event stream and the same
-// deterministic metrics for the same program at the same thread count.
-// Canonical form erases what legitimately differs between runs —
-// timestamps, durations, emitting thread, allocation base addresses
-// and checkpoint page sets (see obs.Event schemas).
+// Observability parity between the engine's two configurations
+// (optimization pipeline off and on). They already agree on output and
+// counters (opt_parity_test.go); these tests extend the contract to
+// the observability layer: both must emit the same canonical event
+// stream and the same deterministic metrics for the same program at
+// the same thread count. Canonical form erases what legitimately
+// differs between runs — timestamps, durations, emitting thread,
+// allocation base addresses, checkpoint page sets and schedule-
+// dependent violation totals (see obs.Event schemas).
 
 import (
 	"fmt"
 	"reflect"
+	"sort"
 	"strings"
 	"testing"
 
@@ -19,22 +21,22 @@ import (
 	"gdsx/internal/workloads"
 )
 
-// obsRun executes src under eng with a fully enabled (non-hot)
-// observer and returns the observer.
-func obsRun(t *testing.T, name, src string, eng Engine, threads int) *Observer {
+// obsRun executes src at the given optimization level with a fully
+// enabled (non-hot) observer and returns the observer.
+func obsRun(t *testing.T, name, src string, opt OptLevel, threads int) *Observer {
 	t.Helper()
 	o := NewObserver(false)
 	o.IterSpans = true
-	_, err := RunSource(name, src, RunOptions{Threads: threads, Engine: eng, Obs: o})
+	_, err := RunSource(name, src, RunOptions{Threads: threads, Opt: opt, Obs: o})
 	if err != nil {
-		t.Fatalf("%s (engine %v, %d threads): %v", name, eng, threads, err)
+		t.Fatalf("%s (opt %d, %d threads): %v", name, opt, threads, err)
 	}
 	return o
 }
 
 // deterministicCounters filters a metrics snapshot down to the
-// counters that must match between engines: spin counts (wait ops)
-// and work-stealing steal counts depend on real host scheduling,
+// counters that must match between configurations: spin counts (wait
+// ops) and work-stealing steal counts depend on real host scheduling,
 // everything else is simulated and exact.
 func deterministicCounters(s obs.Snapshot) map[string]int64 {
 	out := map[string]int64{}
@@ -63,39 +65,54 @@ func TestObsEngineParity(t *testing.T) {
 			for _, n := range []int{1, 2, 4} {
 				// The expanded program is the one whose parallel runs are
 				// deterministic; the native source races at n > 1 (see
-				// engine_test.go).
+				// opt_parity_test.go).
 				name := fmt.Sprintf("%s-x.c", w.Name)
-				treeObs := obsRun(t, name, tr.Source, EngineTree, n)
-				compObs := obsRun(t, name, tr.Source, EngineCompiled, n)
+				refObs := obsRun(t, name, tr.Source, optLevels[0].opt, n)
+				gotObs := obsRun(t, name, tr.Source, optLevels[1].opt, n)
 
-				treeEvents := treeObs.Trace.Canonical()
-				compEvents := compObs.Trace.Canonical()
-				if !reflect.DeepEqual(treeEvents, compEvents) {
-					t.Fatalf("N=%d: canonical event streams differ\ntree (%d):\n%s\ncompiled (%d):\n%s",
-						n, len(treeEvents), strings.Join(treeEvents, "\n"),
-						len(compEvents), strings.Join(compEvents, "\n"))
+				refEvents := refObs.Trace.Canonical()
+				gotEvents := gotObs.Trace.Canonical()
+				if !reflect.DeepEqual(refEvents, gotEvents) {
+					t.Fatalf("N=%d: canonical event streams differ\n%s (%d):\n%s\n%s (%d):\n%s",
+						n, optLevels[0].name, len(refEvents), strings.Join(refEvents, "\n"),
+						optLevels[1].name, len(gotEvents), strings.Join(gotEvents, "\n"))
 				}
 				// Single-threaded runs take the plain sequential path and
 				// emit no region events; parallel runs must.
-				if n > 1 && len(treeEvents) == 0 {
+				if n > 1 && len(refEvents) == 0 {
 					t.Fatalf("N=%d: expected events from an expanded parallel run", n)
 				}
 
-				treeM := deterministicCounters(treeObs.Metrics.Snapshot())
-				compM := deterministicCounters(compObs.Metrics.Snapshot())
-				if !reflect.DeepEqual(treeM, compM) {
-					t.Fatalf("N=%d: deterministic metrics differ\ntree: %v\ncompiled: %v",
-						n, treeM, compM)
+				refM := deterministicCounters(refObs.Metrics.Snapshot())
+				gotM := deterministicCounters(gotObs.Metrics.Snapshot())
+				if !reflect.DeepEqual(refM, gotM) {
+					t.Fatalf("N=%d: deterministic metrics differ\n%s: %v\n%s: %v",
+						n, optLevels[0].name, refM, optLevels[1].name, gotM)
 				}
 			}
 		})
 	}
 }
 
+// guardVerdicts lists a trace's guard-verdict events with their
+// violation totals, which canonical form leaves out.
+func guardVerdicts(o *Observer) []string {
+	var out []string
+	for _, ev := range o.Trace.Events() {
+		if ev.Name == "guard-verdict" {
+			out = append(out, fmt.Sprintf("loop=%d label=%s violations=%d", ev.Loop, ev.Label, ev.V2))
+		}
+	}
+	sort.Strings(out)
+	return out
+}
+
 // TestObsGuardedParity extends event-stream parity to guarded runs
 // with recovery on the multi-region adversarial program: guard
 // verdicts, rollbacks and checkpoint commits must appear identically
-// under both engines.
+// with the optimization pipeline off and on. A verdict's violation
+// total depends on which iterations share a worker, so it is only
+// pinned under static scheduling, where the placement is fixed.
 func TestObsGuardedParity(t *testing.T) {
 	a := workloads.AdversarialMultiRegion()
 	native, err := Compile(a.Name+".c", a.Expose(workloads.Test))
@@ -109,31 +126,56 @@ func TestObsGuardedParity(t *testing.T) {
 	if err != nil {
 		t.Fatalf("transform: %v", err)
 	}
+	guarded := func(opts RunOptions) *Observer {
+		t.Helper()
+		o := NewObserver(false)
+		o.IterSpans = true
+		opts.Recover, opts.Obs = &RecoverySpec{}, o
+		res, err := GuardedRun(native, tr, opts)
+		if err != nil {
+			t.Fatalf("guarded run (%+v): %v", opts, err)
+		}
+		if res.FellBack {
+			t.Fatalf("opt %d, %d threads: recovery must contain the violation", opts.Opt, opts.Threads)
+		}
+		return o
+	}
+	// The verdicts the static schedule's replays reach, per thread
+	// count: only the middle region violates.
+	staticVerdicts := map[int][]string{}
+	for n, total := range map[int]int{2: 7, 4: 21} {
+		staticVerdicts[n] = []string{
+			"loop=1 label=clean violations=0",
+			fmt.Sprintf("loop=2 label=carried-flow violations=%d", total),
+			"loop=3 label=clean violations=0",
+		}
+	}
 	for _, n := range []int{2, 4} {
-		streams := map[Engine][]string{}
-		for _, eng := range []Engine{EngineTree, EngineCompiled} {
-			o := NewObserver(false)
-			o.IterSpans = true
-			res, err := GuardedRun(native, tr, RunOptions{
-				Threads: n, Engine: eng, Recover: &RecoverySpec{}, Obs: o,
-			})
-			if err != nil {
-				t.Fatalf("guarded run (engine %v, %d threads): %v", eng, n, err)
-			}
-			if res.FellBack {
-				t.Fatalf("engine %v: recovery must contain the violation", eng)
-			}
-			streams[eng] = o.Trace.Canonical()
+		var streams [2][]string
+		for i, lv := range optLevels {
+			streams[i] = guarded(RunOptions{Threads: n, Opt: lv.opt}).Trace.Canonical()
 		}
-		if !reflect.DeepEqual(streams[EngineTree], streams[EngineCompiled]) {
-			t.Fatalf("N=%d: guarded canonical streams differ\ntree:\n%s\ncompiled:\n%s",
-				n, strings.Join(streams[EngineTree], "\n"),
-				strings.Join(streams[EngineCompiled], "\n"))
+		if !reflect.DeepEqual(streams[0], streams[1]) {
+			t.Fatalf("N=%d: guarded canonical streams differ\n%s:\n%s\n%s:\n%s",
+				n, optLevels[0].name, strings.Join(streams[0], "\n"),
+				optLevels[1].name, strings.Join(streams[1], "\n"))
 		}
-		joined := strings.Join(streams[EngineTree], "\n")
+		joined := strings.Join(streams[0], "\n")
 		for _, want := range []string{"guard-verdict", "rollback", "checkpoint-commit", "region"} {
 			if !strings.Contains(joined, want) {
 				t.Fatalf("N=%d: guarded stream lacks %q events:\n%s", n, want, joined)
+			}
+		}
+
+		// Repeated static runs of both configurations must all reach
+		// exactly the pinned verdicts.
+		for rep := 0; rep < 2; rep++ {
+			for _, lv := range optLevels {
+				got := guardVerdicts(guarded(RunOptions{Threads: n, Opt: lv.opt, Sched: SchedStatic}))
+				if want := staticVerdicts[n]; !reflect.DeepEqual(got, want) {
+					t.Fatalf("N=%d static, %s run %d: guard verdicts\n%s\nwant:\n%s",
+						n, lv.name, rep, strings.Join(got, "\n"), strings.Join(want, "\n"))
+				}
 			}
 		}
 	}

@@ -42,17 +42,13 @@ int main() {
 // failure into a parallel worker (FailAlloc counts allocations, so the
 // fault lands inside the region deterministically) with region
 // recovery enabled: the region must roll back once and re-execute
-// sequentially, producing native output — under both engines and all
-// three schedulers.
+// sequentially, producing native output — with the optimization
+// pipeline off and on, under all three schedulers.
 func TestWorkerOOMRecoveredByRegionRollback(t *testing.T) {
-	engines := []struct {
-		name string
-		eng  Engine
-	}{{"compiled", EngineCompiled}, {"tree", EngineTree}}
 	for _, ps := range parityScheds {
-		for _, en := range engines {
-			t.Run(ps.name+"/"+en.name, func(t *testing.T) {
-				opts := RunOptions{Threads: 4, Sched: ps.pol, Engine: en.eng}
+		for _, lv := range optLevels {
+			t.Run(ps.name+"/"+lv.name, func(t *testing.T) {
+				opts := RunOptions{Threads: 4, Sched: ps.pol, Opt: lv.opt}
 				probe, err := RunSource("pfault.c", parallelFaultSrc, opts)
 				if err != nil {
 					t.Fatalf("probe run: %v", err)

@@ -21,19 +21,19 @@ import (
 // back: region 2 alone is rolled back and re-executed sequentially,
 // regions 1 and 3 commit their parallel runs, and the output is
 // byte-identical to native sequential execution — at every thread
-// count, on both engines.
+// count, with the optimization pipeline off and on.
 func TestRecoverMultiRegion(t *testing.T) {
 	a := workloads.AdversarialMultiRegion()
 	native, tr := guardTransform(t, a)
 	want := sequentialOutput(t, native)
-	for _, eng := range []Engine{EngineCompiled, EngineTree} {
+	for _, lv := range optLevels {
 		for _, nt := range guardThreads {
-			t.Run(fmt.Sprintf("engine=%v/threads=%d", eng, nt), func(t *testing.T) {
+			t.Run(fmt.Sprintf("engine=%s/threads=%d", lv.name, nt), func(t *testing.T) {
 				var starts int // ParallelStart runs on the spawning thread only
 				hooks := &interp.Hooks{ParallelStart: func(loop, nthreads int) { starts++ }}
 				res, err := GuardedRun(native, tr, RunOptions{
 					Threads: nt,
-					Engine:  eng,
+					Opt:     lv.opt,
 					Recover: &RecoverySpec{},
 					Hooks:   hooks,
 				})
@@ -84,16 +84,17 @@ func TestRecoverMultiRegion(t *testing.T) {
 // TestRecoverStuckRegionWatchdog: the stuck workload's exposing input
 // spins every worker but thread 0 forever — no safe point is ever
 // reached. The region watchdog must cancel the region, roll it back,
-// and complete it sequentially with native output, on both engines.
+// and complete it sequentially with native output, with the
+// optimization pipeline off and on.
 func TestRecoverStuckRegionWatchdog(t *testing.T) {
 	a := workloads.AdversarialStuck()
 	native, tr := guardTransform(t, a)
 	want := sequentialOutput(t, native)
-	for _, eng := range []Engine{EngineCompiled, EngineTree} {
-		t.Run(fmt.Sprintf("engine=%v", eng), func(t *testing.T) {
+	for _, lv := range optLevels {
+		t.Run("engine="+lv.name, func(t *testing.T) {
 			res, err := GuardedRun(native, tr, RunOptions{
 				Threads:       4,
-				Engine:        eng,
+				Opt:           lv.opt,
 				Recover:       &RecoverySpec{},
 				RegionTimeout: 150 * time.Millisecond,
 			})
