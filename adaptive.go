@@ -159,6 +159,9 @@ func AdaptiveRun(p *Program, opts AdaptiveOptions) (*AdaptiveResult, error) {
 		return nil, err
 	}
 	for attempt := 1; ; attempt++ {
+		if attempt > 1 && ropts.Memory != nil {
+			ropts.Memory.Reset() // a caller arena still holds the last attempt
+		}
 		gr, err := GuardedRun(p, tr, ropts)
 		if err != nil {
 			return nil, err

@@ -233,6 +233,33 @@ func TestAdaptiveReexpansion(t *testing.T) {
 	}
 }
 
+// TestAdaptiveRunCallerArena: every attempt after the first must start
+// from a Reset caller arena, so the final attempt's allocator stats are
+// those of a run on a fresh one.
+func TestAdaptiveRunCallerArena(t *testing.T) {
+	a := workloads.AdversarialWindow()
+	prog, _ := adaptCompile(t, a)
+	run := func(arena *Memory) *AdaptiveResult {
+		t.Helper()
+		res, err := AdaptiveRun(prog, AdaptiveOptions{
+			Transform: TransformOptions{ProfileSource: a.Profile(workloads.Test)},
+			Run:       RunOptions{Threads: 4, Sched: SchedStatic, Memory: arena},
+		})
+		if err != nil {
+			t.Fatalf("adaptive run: %v", err)
+		}
+		return res
+	}
+	fresh, pooled := run(nil), run(NewMemory(0))
+	if pooled.Attempts != fresh.Attempts || pooled.Attempts < 2 {
+		t.Fatalf("attempts: caller arena %d, fresh %d (want equal and at least 2)",
+			pooled.Attempts, fresh.Attempts)
+	}
+	if got, want := pooled.Final.Result.MemStats, fresh.Final.Result.MemStats; got != want {
+		t.Fatalf("final MemStats on a caller arena %+v, want the fresh arena's %+v", got, want)
+	}
+}
+
 // TestAdaptiveReexpandInjectedFailure checks the chaos hook on the
 // re-expansion path: with FaultPlan.FailReexpand every decision is
 // injected to fail, so the driver stops after the first attempt with

@@ -151,7 +151,10 @@ type RunOptions struct {
 	// Memory injects a caller-owned simulated memory (see NewMemory),
 	// letting a service reuse pooled arenas across runs instead of
 	// allocating MemSize fresh each time. The caller must Reset the
-	// memory between runs; MemSize is ignored when Memory is set.
+	// memory between runs; a run that re-executes internally (the
+	// guarded whole-program fallback, each AdaptiveRun attempt after
+	// the first) Resets it before the re-execution. MemSize is ignored
+	// when Memory is set.
 	Memory *mem.Memory
 }
 

@@ -200,6 +200,12 @@ func GuardedRunPrecompiled(native *Program, tr *TransformResult, exp *Program, o
 	sopts := opts // keeps opts.Hooks: the caller's hooks see the fallback
 	sopts.ForceSequential = true
 	sopts.FailAlloc = 0
+	if sopts.Memory != nil {
+		// A caller-supplied arena still holds the abandoned attempt's
+		// blocks, accounting and fault countdown; the fallback needs it
+		// as fresh as the arena it would otherwise allocate.
+		sopts.Memory.Reset()
+	}
 	seq, serr := native.Run(sopts)
 	if serr != nil {
 		return nil, fmt.Errorf("gdsx: sequential re-execution after guard abort: %w", serr)

@@ -10,10 +10,7 @@ import (
 	"fmt"
 
 	"gdsx"
-	"gdsx/internal/ddg"
 	"gdsx/internal/expand"
-	"gdsx/internal/interp"
-	"gdsx/internal/rtpriv"
 	"gdsx/internal/schedule"
 	"gdsx/internal/workloads"
 )
@@ -32,9 +29,8 @@ type Config struct {
 	MemSize int64
 	// Obs, when set, attaches an observer to every harness run — the
 	// gdsxbench -http endpoint uses a metrics-only observer here so
-	// expvar serves live counters while experiments execute. The
-	// wall-clock benchmark modes (OptComparison, ObsOverhead) manage
-	// their own observers and ignore this field.
+	// expvar serves live counters while experiments execute. Timed
+	// suite samples (Measure) never carry it.
 	Obs *gdsx.Observer
 }
 
@@ -76,6 +72,9 @@ type wlData struct {
 type Harness struct {
 	cfg  Config
 	data map[string]*wlData
+	// arena is the simulated memory every suite sample runs on, Reset
+	// before each (see measureCase).
+	arena *gdsx.Memory
 }
 
 // New creates a harness.
@@ -237,7 +236,3 @@ func (h *Harness) totalTime(res gdsx.Result, n int) (int64, error) {
 	total, _, _, err := schedule.ProgramTime(res, n, h.cfg.Model)
 	return total, err
 }
-
-var _ = interp.CatWork
-var _ = rtpriv.DefaultModel
-var _ = ddg.Flow

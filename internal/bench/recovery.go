@@ -5,243 +5,102 @@ package bench
 // benefit: only the bad region loses its parallelism), and the
 // incremental write-log snapshot against plain guarded execution on
 // violation-free inputs (the cost: pre-image copying on the first
-// write to each page, paid even when no rollback ever happens).
+// write to each page, paid even when no rollback ever happens). Page
+// counts ride beside the wall times they are meant to predict.
+// Neither suite is gated.
 
 import (
 	"fmt"
-	"math"
-	"runtime"
-	"strings"
-	"time"
 
 	"gdsx"
 	"gdsx/internal/workloads"
 )
 
-// RecoveryRow compares the two recovery ladders on one violating
-// adversarial workload: GuardedRun without RunOptions.Recover (discard
-// the run, re-execute the whole program sequentially) versus with it
-// (roll back and re-execute just the violating regions).
-type RecoveryRow struct {
-	Workload string `json:"workload"`
-	// FallbackNS is the whole-program ladder: parallel attempt + full
-	// sequential re-execution.
-	FallbackNS int64 `json:"fallback_ns"`
-	// RecoverNS is the region ladder: parallel run with the violating
-	// regions rolled back and re-executed sequentially in place.
-	RecoverNS int64 `json:"recover_ns"`
-	// Speedup is FallbackNS / RecoverNS.
-	Speedup float64 `json:"speedup"`
-	// Recovered counts rolled-back regions in the recovery run, with
-	// the pre-image volume the rollbacks restored.
-	Recovered     int   `json:"recovered"`
-	RollbackPages int   `json:"rollback_pages"`
-	RollbackBytes int64 `json:"rollback_bytes"`
+// regionPages totals the snapshot and rollback pages over a run's
+// regions.
+func regionPages(res *gdsx.GuardedResult) map[string]int64 {
+	var snap, back int64
+	for _, r := range res.Regions {
+		snap += int64(r.SnapshotPages)
+		back += int64(r.RollbackPages)
+	}
+	return map[string]int64{"snapshot_pages": snap, "rollback_pages": back}
 }
 
-// RecoveryOverheadRow measures the snapshot cost on one violation-free
-// standard workload: both runs are guarded; the recovery run
-// additionally write-logs every parallel region.
-type RecoveryOverheadRow struct {
-	Workload string  `json:"workload"`
-	BaseNS   int64   `json:"base_ns"`  // guarded, no snapshots
-	SnapNS   int64   `json:"snap_ns"`  // guarded + region snapshots
-	Overhead float64 `json:"overhead"` // SnapNS / BaseNS
-	// SnapshotPages/Bytes total the write log across all committed
-	// regions — the memory the no-violation path paid for insurance.
-	SnapshotPages int   `json:"snapshot_pages"`
-	SnapshotBytes int64 `json:"snapshot_bytes"`
-}
-
-// RecoveryReport is the full measurement, serialized to
-// BENCH_recovery.json by gdsxbench -recovery.
-type RecoveryReport struct {
-	GoVersion string                `json:"go_version"`
-	Scale     string                `json:"scale"`
-	Threads   int                   `json:"threads"`
-	Reps      int                   `json:"reps"`
-	Violating []RecoveryRow         `json:"violating"`
-	Overhead  []RecoveryOverheadRow `json:"overhead"`
-	// GeomeanOverhead summarizes the violation-free snapshot cost.
-	GeomeanOverhead float64 `json:"geomean_overhead"`
-}
-
-const recoveryReps = 3
-
-// Recovery measures both sides of region-scoped recovery. The
-// violating side runs the adversarial workloads' exposing inputs under
-// both ladders and checks they produce identical (native) output; the
-// overhead side runs the standard workloads' violation-free inputs
-// guarded with and without snapshots.
-func (h *Harness) Recovery() (*RecoveryReport, error) {
-	threads := h.cfg.Threads[len(h.cfg.Threads)-1]
-	rep := &RecoveryReport{
-		GoVersion: runtime.Version(),
-		Scale:     scaleName(h.cfg.Scale),
-		Threads:   threads,
-		Reps:      recoveryReps,
+func (h *Harness) recoverySuites() ([]Suite, error) {
+	threads := h.topThreads()
+	plain := func(m *gdsx.Memory) gdsx.RunOptions {
+		return gdsx.RunOptions{Threads: threads, Memory: m}
+	}
+	logged := func(m *gdsx.Memory) gdsx.RunOptions {
+		return gdsx.RunOptions{Threads: threads, Memory: m, Recover: &gdsx.RecoverySpec{}}
 	}
 
+	// The violating side: the adversarial workloads' exposing inputs,
+	// without RunOptions.Recover (discard the run, re-execute the whole
+	// program sequentially) and with it (roll back and re-execute just
+	// the violating regions).
+	violating := Suite{Name: "recovery-violating", Metric: "speedup (fallback/recover wall)",
+		Better: Higher, Threads: threads}
 	for _, a := range workloads.AdversarialAll() {
-		prog, err := gdsx.Compile(a.Name+".c", a.Expose(h.cfg.Scale))
+		g, err := h.buildGuarded(a.Name, a.Expose(h.cfg.Scale), a.Profile(h.cfg.Scale))
 		if err != nil {
-			return nil, fmt.Errorf("%s: compile: %w", a.Name, err)
+			return nil, err
 		}
-		tr, err := gdsx.Transform(prog, gdsx.TransformOptions{
-			Guard:         true,
-			ProfileSource: a.Profile(h.cfg.Scale),
-			ProfileOpts:   h.run(gdsx.RunOptions{}),
+		violating.Cases = append(violating.Cases, Case{Name: a.Name,
+			Base: func(m *gdsx.Memory) (Sample, error) {
+				res, err := g.run(plain(m))
+				if err != nil {
+					return Sample{}, err
+				}
+				if !res.FellBack {
+					return Sample{}, fmt.Errorf("exposing input did not trip the guard")
+				}
+				return Sample{Output: res.Result.Output}, nil
+			},
+			Cand: func(m *gdsx.Memory) (Sample, error) {
+				res, err := g.run(logged(m))
+				if err != nil {
+					return Sample{}, err
+				}
+				if res.FellBack {
+					return Sample{}, fmt.Errorf("recovery run still fell back whole-program")
+				}
+				p := regionPages(res)
+				p["rollbacks"] = int64(res.Recovered)
+				return Sample{Output: res.Result.Output, Proxy: p}, nil
+			},
 		})
-		if err != nil {
-			return nil, fmt.Errorf("%s: transform: %w", a.Name, err)
-		}
-		opts := h.run(gdsx.RunOptions{Threads: threads})
-		ropts := opts
-		ropts.Recover = &gdsx.RecoverySpec{}
-
-		row := RecoveryRow{Workload: a.Name}
-		bestFall := time.Duration(math.MaxInt64)
-		bestRec := time.Duration(math.MaxInt64)
-		var fallOut, recOut string
-		for i := 0; i < recoveryReps; i++ {
-			start := time.Now()
-			fres, err := gdsx.GuardedRun(prog, tr, opts)
-			if d := time.Since(start); err == nil && d < bestFall {
-				bestFall = d
-			}
-			if err != nil {
-				return nil, fmt.Errorf("%s (fallback): %w", a.Name, err)
-			}
-			if !fres.FellBack {
-				return nil, fmt.Errorf("%s: exposing input did not trip the guard", a.Name)
-			}
-			fallOut = fres.Result.Output
-
-			start = time.Now()
-			rres, err := gdsx.GuardedRun(prog, tr, ropts)
-			if d := time.Since(start); err == nil && d < bestRec {
-				bestRec = d
-			}
-			if err != nil {
-				return nil, fmt.Errorf("%s (recover): %w", a.Name, err)
-			}
-			if rres.FellBack {
-				return nil, fmt.Errorf("%s: recovery run still fell back whole-program", a.Name)
-			}
-			recOut = rres.Result.Output
-			row.Recovered = rres.Recovered
-			row.RollbackPages, row.RollbackBytes = 0, 0
-			for _, r := range rres.Regions {
-				row.RollbackPages += r.RollbackPages
-				row.RollbackBytes += r.RollbackBytes
-			}
-		}
-		if fallOut != recOut {
-			return nil, fmt.Errorf("%s: recovery output diverges from fallback output", a.Name)
-		}
-		row.FallbackNS = bestFall.Nanoseconds()
-		row.RecoverNS = bestRec.Nanoseconds()
-		row.Speedup = float64(row.FallbackNS) / float64(row.RecoverNS)
-		rep.Violating = append(rep.Violating, row)
 	}
 
-	logSum := 0.0
+	// The overhead side: the standard workloads' violation-free inputs,
+	// guarded on both sides; the candidate also write-logs every region.
+	overhead := Suite{Name: "recovery-overhead", Metric: "overhead (snapshot/no snapshot wall)",
+		Better: Lower, Threads: threads}
 	for _, w := range workloads.All() {
-		src := w.Source(h.cfg.Scale)
-		psrc := w.Source(workloads.ProfileScale)
-		if h.cfg.Scale == workloads.ProfileScale || h.cfg.Scale == workloads.Test {
-			psrc = src
-		}
-		prog, err := gdsx.Compile(w.Name+".c", src)
+		g, err := h.buildWorkload(w)
 		if err != nil {
-			return nil, fmt.Errorf("%s: compile: %w", w.Name, err)
+			return nil, err
 		}
-		tr, err := gdsx.Transform(prog, gdsx.TransformOptions{
-			Guard:         true,
-			ProfileSource: psrc,
-			ProfileOpts:   h.run(gdsx.RunOptions{}),
+		overhead.Cases = append(overhead.Cases, Case{Name: w.Name,
+			Base: func(m *gdsx.Memory) (Sample, error) {
+				res, err := g.run(plain(m))
+				if err != nil {
+					return Sample{}, err
+				}
+				return Sample{Output: res.Result.Output}, nil
+			},
+			Cand: func(m *gdsx.Memory) (Sample, error) {
+				res, err := g.run(logged(m))
+				if err != nil {
+					return Sample{}, err
+				}
+				if res.Recovered != 0 || res.FellBack {
+					return Sample{}, fmt.Errorf("rollback on a profiled input")
+				}
+				return Sample{Output: res.Result.Output, Proxy: regionPages(res)}, nil
+			},
 		})
-		if err != nil {
-			return nil, fmt.Errorf("%s: transform: %w", w.Name, err)
-		}
-		opts := h.run(gdsx.RunOptions{Threads: threads})
-		ropts := opts
-		ropts.Recover = &gdsx.RecoverySpec{}
-
-		row := RecoveryOverheadRow{Workload: w.Name}
-		// Warm the Go heap once, then alternate within each repetition
-		// so the two configurations see the same allocator state.
-		if _, err := gdsx.GuardedRun(prog, tr, opts); err != nil {
-			return nil, fmt.Errorf("%s (warmup): %w", w.Name, err)
-		}
-		bestBase := time.Duration(math.MaxInt64)
-		bestSnap := time.Duration(math.MaxInt64)
-		var baseOut, snapOut string
-		for i := 0; i < recoveryReps; i++ {
-			start := time.Now()
-			bres, err := gdsx.GuardedRun(prog, tr, opts)
-			if d := time.Since(start); err == nil && d < bestBase {
-				bestBase = d
-			}
-			if err != nil {
-				return nil, fmt.Errorf("%s (base): %w", w.Name, err)
-			}
-			baseOut = bres.Result.Output
-
-			start = time.Now()
-			sres, err := gdsx.GuardedRun(prog, tr, ropts)
-			if d := time.Since(start); err == nil && d < bestSnap {
-				bestSnap = d
-			}
-			if err != nil {
-				return nil, fmt.Errorf("%s (snapshot): %w", w.Name, err)
-			}
-			if sres.Recovered != 0 || sres.FellBack {
-				return nil, fmt.Errorf("%s: rollback on a profiled input", w.Name)
-			}
-			snapOut = sres.Result.Output
-			row.SnapshotPages, row.SnapshotBytes = 0, 0
-			for _, r := range sres.Regions {
-				row.SnapshotPages += r.SnapshotPages
-				row.SnapshotBytes += r.SnapshotBytes
-			}
-		}
-		if baseOut != snapOut {
-			return nil, fmt.Errorf("%s: snapshot run output diverges", w.Name)
-		}
-		row.BaseNS = bestBase.Nanoseconds()
-		row.SnapNS = bestSnap.Nanoseconds()
-		row.Overhead = float64(row.SnapNS) / float64(row.BaseNS)
-		logSum += math.Log(row.Overhead)
-		rep.Overhead = append(rep.Overhead, row)
 	}
-	rep.GeomeanOverhead = math.Exp(logSum / float64(len(rep.Overhead)))
-	return rep, nil
-}
-
-// Render formats the recovery report as text tables.
-func (r *RecoveryReport) Render() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Recovery vs whole-program fallback on violating inputs "+
-		"(wall clock, %s scale, %d threads, best of %d, %s)\n",
-		r.Scale, r.Threads, r.Reps, r.GoVersion)
-	fmt.Fprintf(&b, "%-26s %12s %12s %8s %10s %12s\n",
-		"workload", "fallback", "recover", "speedup", "rollbacks", "restored")
-	for _, row := range r.Violating {
-		fmt.Fprintf(&b, "%-26s %12v %12v %7.2fx %10d %11dB\n", row.Workload,
-			time.Duration(row.FallbackNS).Round(time.Microsecond),
-			time.Duration(row.RecoverNS).Round(time.Microsecond),
-			row.Speedup, row.Recovered, row.RollbackBytes)
-	}
-	fmt.Fprintf(&b, "\nSnapshot overhead on violation-free runs (guarded both sides)\n")
-	fmt.Fprintf(&b, "%-16s %12s %12s %9s %8s %12s\n",
-		"workload", "no snapshot", "snapshot", "overhead", "pages", "logged")
-	for _, row := range r.Overhead {
-		fmt.Fprintf(&b, "%-16s %12v %12v %8.2fx %8d %11dB\n", row.Workload,
-			time.Duration(row.BaseNS).Round(time.Microsecond),
-			time.Duration(row.SnapNS).Round(time.Microsecond),
-			row.Overhead, row.SnapshotPages, row.SnapshotBytes)
-	}
-	fmt.Fprintf(&b, "%-16s %12s %12s %8.2fx\n", "geomean", "", "", r.GeomeanOverhead)
-	return b.String()
+	return []Suite{violating, overhead}, nil
 }

@@ -186,67 +186,6 @@ type BucketCount struct {
 	Count int64 `json:"count"`
 }
 
-// Quantile estimates the q-quantile (0 <= q <= 1) of the observed
-// distribution from the power-of-two buckets: the containing bucket is
-// found by cumulative rank and the estimate interpolates linearly
-// inside it, clamped to the observed [Min, Max] so a single
-// observation (or a single-bucket distribution whose extremes are
-// known exactly) is returned exactly. An empty or nil histogram
-// estimates 0. The estimate is taken over a live histogram, so a
-// concurrent Observe may or may not be included — each side of the
-// race is a valid point-in-time answer.
-func (h *Histogram) Quantile(q float64) float64 {
-	if h == nil {
-		return 0
-	}
-	v := HistogramView{Count: h.Count(), Min: h.Min(), Max: h.Max(), Buckets: h.Buckets()}
-	return v.Quantile(q)
-}
-
-// Quantile estimates the q-quantile of a snapshotted histogram; see
-// (*Histogram).Quantile. Snapshots are what /metrics consumers and the
-// serve-load harness hold, so the estimator lives on the view.
-func (v HistogramView) Quantile(q float64) float64 {
-	if v.Count <= 0 {
-		return 0
-	}
-	if q < 0 {
-		q = 0
-	}
-	if q > 1 {
-		q = 1
-	}
-	rank := q * float64(v.Count)
-	if rank < 1 {
-		rank = 1
-	}
-	var cum int64
-	for _, b := range v.Buckets {
-		if float64(cum)+float64(b.Count) < rank {
-			cum += b.Count
-			continue
-		}
-		// Bucket 0 (Le == 1) holds every observation <= 1, so its lower
-		// edge is 0 for interpolation; the Min clamp below repairs the
-		// estimate when the true floor is known to be higher (or lower:
-		// the estimator is documented for the non-negative distributions
-		// every producer here records).
-		lo := float64(b.Le) / 2
-		if b.Le == 1 {
-			lo = 0
-		}
-		est := lo + (float64(b.Le)-lo)*(rank-float64(cum))/float64(b.Count)
-		if min := float64(v.Min); est < min {
-			est = min
-		}
-		if max := float64(v.Max); est > max {
-			est = max
-		}
-		return est
-	}
-	return float64(v.Max)
-}
-
 // Registry is a named collection of instruments. Lookup interns the
 // instrument on first use, so producers fetch instruments once and
 // update them lock-free afterwards. All methods are safe on a nil

@@ -16,8 +16,8 @@
 // The three components are independent and independently priced:
 //
 //   - Trace and Metrics observe region-, iteration- and allocation-
-//     granularity happenings: cheap enough to leave on (gdsxbench -obs
-//     measures the overhead; BENCH_obs.json records it).
+//     granularity happenings: cheap enough to leave on (gdsxbench
+//     -suite obs measures the overhead; BENCH_obs.json records it).
 //   - Hot enables the per-access profile. It rides the interpreter's
 //     Observe hook, which switches every sited memory access onto the
 //     slow hook path — the same price the guard monitor pays — so it

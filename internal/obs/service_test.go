@@ -8,74 +8,6 @@ import (
 	"time"
 )
 
-func TestQuantilePinned(t *testing.T) {
-	// Empty and nil histograms estimate 0 at every q.
-	var nilH *Histogram
-	if got := nilH.Quantile(0.5); got != 0 {
-		t.Fatalf("nil Quantile = %v, want 0", got)
-	}
-	if got := (&Histogram{}).Quantile(0.99); got != 0 {
-		t.Fatalf("empty Quantile = %v, want 0", got)
-	}
-
-	// A single observation is returned exactly at every q: the Min/Max
-	// clamp collapses the containing bucket's interpolation range.
-	single := &Histogram{}
-	single.Observe(100)
-	for _, q := range []float64{0, 0.25, 0.5, 0.99, 1} {
-		if got := single.Quantile(q); got != 100 {
-			t.Fatalf("single-observation Quantile(%v) = %v, want 100", q, got)
-		}
-	}
-
-	// Exact bucket boundaries: {1, 2, 4, 8} each land on a bucket's
-	// upper edge, and with one observation per bucket the rank-q
-	// estimate interpolates to exactly that edge.
-	edges := &Histogram{}
-	for _, v := range []int64{1, 2, 4, 8} {
-		edges.Observe(v)
-	}
-	for _, tc := range []struct{ q, want float64 }{
-		{0, 1},    // rank clamps to the first observation
-		{0.25, 1}, // first bucket's edge
-		{0.5, 2},
-		{0.75, 4},
-		{1, 8},
-	} {
-		if got := edges.Quantile(tc.q); got != tc.want {
-			t.Fatalf("edges Quantile(%v) = %v, want %v", tc.q, got, tc.want)
-		}
-	}
-
-	// Two-bucket distribution: 50 observations of 4, 50 of 16. Low
-	// quantiles sit in the first bucket and clamp to Min=4; q=1 clamps
-	// to Max=16.
-	two := &Histogram{}
-	for i := 0; i < 50; i++ {
-		two.Observe(4)
-		two.Observe(16)
-	}
-	if got := two.Quantile(0.25); got != 4 {
-		t.Fatalf("two-bucket Quantile(0.25) = %v, want 4", got)
-	}
-	if got := two.Quantile(1); got != 16 {
-		t.Fatalf("two-bucket Quantile(1) = %v, want 16", got)
-	}
-	// The q=0.75 estimate falls inside the (8,16] bucket: between 8 and
-	// 16, clamped by neither extreme.
-	if got := two.Quantile(0.75); got < 8 || got > 16 {
-		t.Fatalf("two-bucket Quantile(0.75) = %v, want within [8,16]", got)
-	}
-
-	// q out of range clamps.
-	if got := edges.Quantile(-1); got != 1 {
-		t.Fatalf("Quantile(-1) = %v, want 1", got)
-	}
-	if got := edges.Quantile(2); got != 8 {
-		t.Fatalf("Quantile(2) = %v, want 8", got)
-	}
-}
-
 func BenchmarkHistogramObserve(b *testing.B) {
 	h := &Histogram{}
 	b.ReportAllocs()

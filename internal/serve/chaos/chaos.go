@@ -4,9 +4,9 @@
 // recovery layer, so every injected panic must come back as a
 // structured 500), and client-side request generators — slow-loris
 // bodies, OOM-quota requests, mid-run context cancellations,
-// FaultPlan-armed guard rollbacks — used by the serve-load harness and
-// the chaos tests. Nothing here runs in production paths; gdsxd mounts
-// the middleware only behind its -chaos flag.
+// FaultPlan-armed guard rollbacks — used by the chaos tests. Nothing
+// here runs in production paths; gdsxd mounts the middleware only
+// behind its -chaos flag.
 package chaos
 
 import (

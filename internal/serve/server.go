@@ -59,8 +59,8 @@ type Config struct {
 	// DisableObs turns the whole observability layer off — no
 	// registry, no request IDs, no tracing, no logging — leaving
 	// /stats counters zeroed and /metrics and /debug/traces returning
-	// 404. This is the baseline configuration the serve tier of
-	// `gdsxbench -obs` measures leave-on overhead against.
+	// 404. This is the baseline the obs-serve suite of
+	// `gdsxbench -suite obs` measures leave-on overhead against.
 	DisableObs bool
 }
 

@@ -333,6 +333,24 @@ int main() {
 // replayed against the sequential fallback's — the fallback completes
 // even though the same countdown would kill a fresh sequential run.
 func TestGuardedFallbackDisarmsFailAlloc(t *testing.T) {
+	checkFallbackDisarmsFailAlloc(t, nil)
+}
+
+// TestGuardedFallbackDisarmsFailAllocCallerArena is the same check on a
+// caller-supplied arena: the countdown lives in the arena, so the
+// fallback must start from a Reset one rather than from the abandoned
+// attempt's, and its allocator stats must match a fresh arena's.
+func TestGuardedFallbackDisarmsFailAllocCallerArena(t *testing.T) {
+	fresh := checkFallbackDisarmsFailAlloc(t, nil)
+	pooled := checkFallbackDisarmsFailAlloc(t, NewMemory(0))
+	if pooled.Result.MemStats != fresh.Result.MemStats {
+		t.Fatalf("fallback MemStats on a caller arena %+v, want the fresh arena's %+v",
+			pooled.Result.MemStats, fresh.Result.MemStats)
+	}
+}
+
+func checkFallbackDisarmsFailAlloc(t *testing.T, arena *Memory) *GuardedResult {
+	t.Helper()
 	native, err := Compile("failalloc.c", failAllocSource(1))
 	if err != nil {
 		t.Fatal(err)
@@ -360,7 +378,7 @@ func TestGuardedFallbackDisarmsFailAlloc(t *testing.T) {
 		t.Fatalf("countdown %d too large to fire in a sequential run; test is vacuous", n)
 	}
 
-	res, err := GuardedRun(native, tr, RunOptions{Threads: 4, FailAlloc: n})
+	res, err := GuardedRun(native, tr, RunOptions{Threads: 4, FailAlloc: n, Memory: arena})
 	if err != nil {
 		t.Fatalf("guarded run with FailAlloc=%d: %v", n, err)
 	}
@@ -370,4 +388,5 @@ func TestGuardedFallbackDisarmsFailAlloc(t *testing.T) {
 	if res.Result.Output != want {
 		t.Fatalf("fallback output %q, want native %q", res.Result.Output, want)
 	}
+	return res
 }
