@@ -13,10 +13,10 @@
 //	GET  /debug/traces      retained request traces (slowest + recent errors) as JSON index
 //	GET  /debug/traces/{id} one retained trace as Chrome trace-event JSON
 //
-// Every /run response carries an X-Request-ID header (the inbound one
-// when the client sent a well-formed X-Request-ID, generated
-// otherwise); sending one forces the request to be traced, so its
-// trace is retrievable from /debug/traces/{id} afterwards.
+// Every /run request is traced. Its response carries an X-Request-ID
+// header (the inbound one when the client sent a well-formed
+// X-Request-ID, generated otherwise) that names the trace, so a
+// retained trace is retrievable from /debug/traces/{id} afterwards.
 //
 // SIGTERM or SIGINT starts a graceful drain: in-flight requests
 // finish, new ones get 503 draining, and the process exits 0 once the
@@ -51,7 +51,6 @@ func main() {
 		chaosOn  = flag.Bool("chaos", false, "mount the fault-injecting chaos middleware (testing only)")
 		chaosPan = flag.Int("chaos-panic-every", 10, "with -chaos: panic on one in N requests")
 		logDest  = flag.String("log", "", "structured request log destination: a file path, or - for stdout (empty = off)")
-		traceN   = flag.Int("trace-sample", 0, "trace 1 in N requests without an X-Request-ID (0 = 8, negative = only explicit IDs)")
 		retainN  = flag.Int("trace-retain", 0, "retained traces per pool on /debug/traces (0 = 32)")
 	)
 	flag.Parse()
@@ -73,7 +72,6 @@ func main() {
 		QueueDepth:    *queue,
 		CacheEntries:  *cacheN,
 		Rate:          serve.RateLimit{RPS: *rps, Burst: *burst},
-		TraceSample:   *traceN,
 		TraceRetain:   *retainN,
 		RequestLog:    reqLog,
 	})

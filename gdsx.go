@@ -181,13 +181,14 @@ type Observer = obs.Observer
 
 // NewObserver builds the standard observability configuration: an
 // event tracer and a metrics registry, whose cost is per-region and
-// per-run rather than per-iteration — cheap enough to leave on. Two
-// heavier tiers are opt-in: setting IterSpans on the returned observer
-// adds a timed trace span per loop iteration (two clock reads per
-// iteration — visible on tight loops), and hot attaches the per-access
-// hot-site profiler, which forces every sited memory access through
-// the interpreter's hook path. See BENCH_obs.json for the measured
-// overhead of each tier.
+// per-run rather than per-iteration and which keep register promotion
+// on — cheap enough to leave on. Two heavier tiers are opt-in: setting
+// IterSpans on the returned observer adds a timed trace span per loop
+// iteration (two clock reads per iteration — visible on tight loops),
+// and hot attaches the per-access hot-site profiler, which forces
+// every sited memory access through the interpreter's hook path and
+// turns promotion off. See BENCH_obs.json for the measured overhead of
+// each tier.
 func NewObserver(hot bool) *Observer {
 	o := &Observer{
 		Trace:   obs.NewTracer(0),

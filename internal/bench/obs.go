@@ -129,8 +129,8 @@ func (h *Harness) obsSuites(quick bool) ([]Suite, error) {
 }
 
 // serveObsSuite times request batches against a DisableObs server and
-// the default configuration (registry instruments on every request,
-// head-sampled tracing at the default 1-in-8, trace retention).
+// the default configuration (registry instruments, a request trace
+// and trace retention on every request).
 func serveObsSuite() (Suite, error) {
 	body, err := json.Marshal(serve.Request{Source: serveKernel, Input: "int N = 32;",
 		Options: serve.Options{Threads: obsThreads}})

@@ -489,10 +489,10 @@ func (m *Machine) warnf(format string, args ...any) {
 }
 
 // publishObs records the run's final whole-run aggregates in the
-// metrics registry: the instruction-category counters, the memory-op
-// count, and the allocator's high-water marks (the incremental
-// allocator feed tracks live bytes; the final gauges make the totals
-// available even for programs that never free).
+// metrics registry: the instruction-category counters and the
+// allocator's high-water marks (the incremental allocator feed tracks
+// live bytes; the final gauges make the totals available even for
+// programs that never free).
 func (m *Machine) publishObs(res Result) {
 	o := m.opts.Obs
 	if o == nil || o.Metrics == nil {
@@ -501,7 +501,6 @@ func (m *Machine) publishObs(res Result) {
 	for i := 0; i < NumCats; i++ {
 		o.Counter("interp.ops." + CatNames[i]).Add(res.Counters[i])
 	}
-	o.Counter("interp.mem_ops").Add(res.MemOps)
 	o.Gauge("mem.live").Set(res.MemStats.Live)
 	o.Gauge("mem.high_water").Set(res.MemStats.HighWater)
 	o.Gauge("mem.high_water_data").Set(res.MemStats.HighWaterData)

@@ -9,9 +9,10 @@
 //     register; writes update the register and write through to the
 //     backing bytes, so simulated memory stays byte-identical to an
 //     unoptimized run and every unfused read remains correct.
-//     Promotion is disabled whenever an observer could see the
-//     difference: per-access hooks, parallel tracing, or an attached
-//     Observer (whose mem_ops metric counts cache touches).
+//     Promotion is disabled whenever something could see the
+//     difference: per-access hooks (including an Observer's hot-site
+//     profiler, which rides Observe) or parallel tracing. An Observer
+//     without Hot sees only region-level events and keeps promotion.
 //
 //  2. Superinstruction fusion (opt_fuse.go): constant and promoted
 //     operands are folded into their consumers — indexed addressing
@@ -124,8 +125,8 @@ type optConfig struct {
 	fuse bool
 	// promote enables scalar register promotion. Promoted reads skip
 	// the cache model, so promotion additionally requires that nothing
-	// observes per-access state: no access hooks, no parallel tracing,
-	// no attached Observer.
+	// observes per-access state: no access hooks and no parallel
+	// tracing.
 	promote bool
 	// hot is the set of access sites to specialize, nil without a
 	// profile.
@@ -144,8 +145,7 @@ func newOptConfig(m *Machine) optConfig {
 	// called from loop bodies) under PrivateStacks.
 	h := m.opts.Hooks
 	access := h.HasAccessHooks()
-	cfg.promote = (!access || (h.RegionOnly && h.PrivateStacks)) &&
-		!m.opts.TraceParallel && m.opts.Obs == nil
+	cfg.promote = (!access || (h.RegionOnly && h.PrivateStacks)) && !m.opts.TraceParallel
 	if !access {
 		cfg.hot = m.opts.OptProfile.hotSet()
 	}

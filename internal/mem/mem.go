@@ -120,7 +120,6 @@ type Memory struct {
 // memObs caches the allocator's observability instruments so the
 // alloc/free paths update them without registry lookups.
 type memObs struct {
-	o        *obs.Observer
 	cAllocs  *obs.Counter
 	cFrees   *obs.Counter
 	cOOMs    *obs.Counter
@@ -130,15 +129,12 @@ type memObs struct {
 
 // SetObs attaches the observability layer: allocation/free/OOM
 // counters, an allocation-size histogram and a live-byte gauge are
-// updated on every allocator operation, and with Observer.AllocEvents
-// set each operation also emits an instant trace event. Call before
-// execution starts.
+// updated on every allocator operation. Call before execution starts.
 func (m *Memory) SetObs(o *obs.Observer) {
 	if o == nil {
 		return
 	}
 	m.obs = &memObs{
-		o:        o,
 		cAllocs:  o.Counter("mem.allocs"),
 		cFrees:   o.Counter("mem.frees"),
 		cOOMs:    o.Counter("mem.oom"),
@@ -149,13 +145,10 @@ func (m *Memory) SetObs(o *obs.Observer) {
 
 // noteAlloc records a successful allocation. Every instrument is
 // atomic, so no allocator lock needs to be held.
-func (ob *memObs) noteAlloc(base, size int64, live int64, label string) {
+func (ob *memObs) noteAlloc(size, live int64) {
 	ob.cAllocs.Inc()
 	ob.hAllocSz.Observe(size)
 	ob.gLive.Set(live)
-	if ob.o.AllocEvents {
-		ob.o.Emit(obs.Event{Name: "alloc", Ph: 'i', Iter: -1, Label: label, V1: base, V2: size})
-	}
 }
 
 // New creates a memory of the given capacity in bytes.
@@ -217,11 +210,11 @@ func (m *Memory) AllocOn(tid int, size int64, site int, label string) (int64, er
 	}
 	size = (size + align - 1) &^ (align - 1)
 	if m.tickFail() {
-		m.noteOOM(size, "fault-injection")
+		m.noteOOM()
 		return 0, fmt.Errorf("mem: out of memory allocating %d bytes (fault injection)", size)
 	}
 	if !m.reserve(size) {
-		m.noteOOM(size, "limit")
+		m.noteOOM()
 		return 0, fmt.Errorf("mem: out of memory allocating %d bytes (limit %d, live %d)",
 			size, m.limit.Load(), m.liveBytes.Load())
 	}
@@ -234,7 +227,7 @@ func (m *Memory) AllocOn(tid int, size int64, site int, label string) (int64, er
 	}
 	if err != nil {
 		m.liveBytes.Add(-size)
-		m.noteOOM(size, "capacity")
+		m.noteOOM()
 		return 0, err
 	}
 	m.finishAlloc(base, size, label)
@@ -293,7 +286,7 @@ func (m *Memory) finishAlloc(base, size int64, label string) {
 	}
 	clear(m.data[base : base+size])
 	if ob := m.obs; ob != nil {
-		ob.noteAlloc(base, size, live, label)
+		ob.noteAlloc(size, live)
 	}
 }
 
@@ -358,14 +351,9 @@ func (m *Memory) carve(size int64) (int64, bool) {
 }
 
 // noteOOM records a failed allocation.
-func (m *Memory) noteOOM(size int64, label string) {
-	ob := m.obs
-	if ob == nil {
-		return
-	}
-	ob.cOOMs.Inc()
-	if ob.o.AllocEvents {
-		ob.o.Emit(obs.Event{Name: "oom", Ph: 'i', Iter: -1, Label: label, V2: size})
+func (m *Memory) noteOOM() {
+	if ob := m.obs; ob != nil {
+		ob.cOOMs.Inc()
 	}
 }
 
@@ -402,9 +390,6 @@ func (m *Memory) Free(base int64) error {
 	if ob := m.obs; ob != nil {
 		ob.cFrees.Inc()
 		ob.gLive.Set(live)
-		if ob.o.AllocEvents {
-			ob.o.Emit(obs.Event{Name: "free", Ph: 'i', Iter: -1, V1: base})
-		}
 	}
 	return nil
 }

@@ -16,12 +16,14 @@
 // The three components are independent and independently priced:
 //
 //   - Trace and Metrics observe region-, iteration- and allocation-
-//     granularity happenings: cheap enough to leave on (gdsxbench
-//     -suite obs measures the overhead; BENCH_obs.json records it).
+//     granularity happenings, so the engine keeps register promotion
+//     with them attached: cheap enough to leave on (gdsxbench -suite
+//     obs measures the overhead; BENCH_obs.json records it).
 //   - Hot enables the per-access profile. It rides the interpreter's
 //     Observe hook, which switches every sited memory access onto the
-//     slow hook path — the same price the guard monitor pays — so it
-//     is a separate opt-in (gdsx pipeline -hotspots).
+//     slow hook path and turns register promotion off — the same price
+//     the guard monitor pays — so it is a separate opt-in (gdsx
+//     pipeline -hotspots).
 package obs
 
 // Observer bundles the observability components one run feeds. Any
@@ -30,7 +32,7 @@ package obs
 type Observer struct {
 	// Trace receives structured events (region enter/exit, per-thread
 	// iteration spans, guard verdicts, checkpoint/rollback/demotion,
-	// allocator events).
+	// expansions).
 	Trace *Tracer
 	// Metrics receives counters, gauges and histograms.
 	Metrics *Registry
@@ -43,12 +45,6 @@ type Observer struct {
 	// at the region's end, so the only per-iteration costs are two
 	// clock reads and a slice append.
 	IterSpans bool
-	// AllocEvents emits one instant trace event per allocator
-	// operation (alloc/free/oom). Metrics for the allocator are always
-	// recorded when Metrics is set; only the per-operation trace
-	// events are gated, since allocation-heavy programs can swamp the
-	// trace buffer with them.
-	AllocEvents bool
 }
 
 // Emit appends ev to the trace, stamping the current trace clock when

@@ -229,7 +229,7 @@ func TestCanonicalErasesNondeterminism(t *testing.T) {
 		tr := NewTracer(0)
 		tr.Emit(Event{Name: "region", Ph: 'B', TS: ts, Tid: tid, Loop: 1, Iter: -1, V1: 2})
 		tr.Emit(Event{Name: "iter", Ph: 'X', TS: ts + 1, Dur: dur, Tid: tid ^ 1, Loop: 1, Iter: 3})
-		tr.Emit(Event{Name: "alloc", Ph: 'i', TS: ts + 2, Tid: tid, Iter: -1, Label: "xs", V1: base, V2: 64})
+		tr.Emit(Event{Name: "expand", Ph: 'i', TS: ts + 2, Tid: tid, Iter: -1, Label: "bonded", V1: base, V2: 64})
 		tr.Emit(Event{Name: "region", Ph: 'E', TS: ts + 9, Tid: tid, Loop: 1, Iter: -1})
 		return tr
 	}

@@ -61,9 +61,6 @@ var eventSchemas = map[string]eventSchema{
 	"rollback":          {v1: "pages", v2: "bytes"},
 	"demote":            {v1: "strikes", v1Canon: true, v2Canon: true},
 	"repromote":         {v1Canon: true, v2Canon: true},
-	"alloc":             {v1: "base", v2: "size", v2Canon: true},
-	"free":              {v1: "base"},
-	"oom":               {v2: "size", v2Canon: true},
 	"expand":            {v1: "base", v2: "span", v2Canon: true},
 	// A steal happens when one worker outpaces another — pure host
 	// scheduling. victim/count are real but unreproducible.
@@ -104,7 +101,7 @@ const ServiceTid = 1000
 //
 // Tag, when set (before the tracer is shared across goroutines),
 // stamps every exported Chrome event with a request_id arg — the
-// request-scoped tracers gdsxd opens per traced request set it to the
+// request-scoped tracer gdsxd opens for every request sets it to the
 // request ID so runtime region/guard/rollback events are attributable
 // to the request that produced them.
 type Tracer struct {

@@ -2,13 +2,11 @@ package serve
 
 // Service observability: per-request tracing with tail retention,
 // the registry-backed metrics surface (/metrics, /stats), and the
-// structured request log. The design constraint throughout is that an
-// untraced request must stay on the runtime's fast path: attaching an
-// obs.Observer to a run switches the optimizer off scalar register
-// promotion, so tracing is head-sampled (plus forced for requests
-// that arrive with an X-Request-ID) and everything else — counters,
-// histograms, the per-tenant region hook — uses only region-level
-// instruments that leave the access path alone.
+// structured request log. The design constraint throughout is that a
+// request must stay on the runtime's fast path: every instrument a run
+// carries — the request's observer (tracer + registry), the per-tenant
+// region hook — is region-level, leaves the access path alone and
+// keeps register promotion, so every request is traced.
 
 import (
 	"crypto/rand"
@@ -46,7 +44,7 @@ func genID() string {
 }
 
 // reqState carries one request's observability context through the
-// handler: identity, the optional request-scoped tracer, and the
+// handler: identity, the request-scoped tracer and observer, and the
 // request-level facts the log line and trace index render. A reqState
 // from a DisableObs server has an empty ID and nil tracer, and every
 // method on it is inert.
@@ -54,7 +52,6 @@ type reqState struct {
 	id     string
 	tenant string
 	start  time.Time
-	traced bool
 
 	tracer *obs.Tracer
 	obs    *obs.Observer
@@ -67,32 +64,27 @@ type reqState struct {
 	execNS   int64
 }
 
-// beginRequest assigns the request its ID (honoring a well-formed
-// inbound X-Request-ID) and decides whether it is traced: forced when
-// the client sent an ID, head-sampled 1-in-TraceSample otherwise.
+// beginRequest assigns the request its ID (a well-formed inbound
+// X-Request-ID names the trace, otherwise one is generated) and opens
+// its request-scoped tracer and observer.
 func (s *Server) beginRequest(r *http.Request) *reqState {
 	rq := &reqState{start: time.Now(), status: http.StatusOK}
 	if s.reg == nil {
 		return rq
 	}
-	forced := false
-	if id := r.Header.Get("X-Request-ID"); validRequestID.MatchString(id) {
-		rq.id, forced = id, true
-	} else {
+	rq.id = r.Header.Get("X-Request-ID")
+	if !validRequestID.MatchString(rq.id) {
 		rq.id = genID()
 	}
-	if forced || (s.cfg.TraceSample > 0 && s.seq.Add(1)%int64(s.cfg.TraceSample) == 0) {
-		rq.traced = true
-		rq.tracer = obs.NewTracer(requestTraceLimit)
-		rq.tracer.Tag = rq.id
-		rq.obs = &obs.Observer{Trace: rq.tracer, Metrics: s.reg}
-	}
+	rq.tracer = obs.NewTracer(requestTraceLimit)
+	rq.tracer.Tag = rq.id
+	rq.obs = &obs.Observer{Trace: rq.tracer, Metrics: s.reg}
 	return rq
 }
 
 // span opens a service-level span on the request trace and returns
 // the closure that completes it (with an optional label, e.g. the
-// cache-lookup verdict). Inert when the request is untraced.
+// cache-lookup verdict). Inert on a DisableObs server.
 func (rq *reqState) span(name string) func(label string) {
 	if rq == nil || rq.tracer == nil {
 		return func(string) {}
@@ -124,9 +116,10 @@ type requestLogLine struct {
 // finishRequest settles a request's observability: the latency
 // histogram and per-tenant counters, the log line, and the trace
 // store offer. Admission refusals (rate-limit, queue-full, draining)
-// are errors to the client but not retained error traces — under
-// overload they arrive by the thousand and would wash every
-// interesting failure out of the ring.
+// are errors to the client but their traces are not offered at all —
+// under overload they arrive by the thousand and would wash every
+// interesting failure out of the error ring and crowd the slowest
+// successes out of the other pool.
 func (s *Server) finishRequest(rq *reqState) {
 	if s.reg == nil {
 		return
@@ -153,7 +146,7 @@ func (s *Server) finishRequest(rq *reqState) {
 			QueueMs:   float64(rq.queueNS) / 1e6,
 			ExecMs:    float64(rq.execNS) / 1e6,
 			TotalMs:   float64(total) / 1e6,
-			Traced:    rq.traced,
+			Traced:    rq.tracer != nil,
 		}
 		buf, err := json.Marshal(line)
 		if err == nil {
@@ -163,14 +156,14 @@ func (s *Server) finishRequest(rq *reqState) {
 		}
 	}
 
-	if rq.tracer != nil {
-		isErr := rq.code != "" &&
-			rq.code != CodeRateLimit && rq.code != CodeQueueFull && rq.code != CodeDraining
-		s.traces.Offer(&obs.RetainedTrace{
-			ID: rq.id, Tenant: rq.tenant, Start: rq.start, Dur: total,
-			Status: rq.status, Code: string(rq.code), Error: isErr, Tracer: rq.tracer,
-		})
+	switch rq.code {
+	case CodeRateLimit, CodeQueueFull, CodeDraining:
+		return
 	}
+	s.traces.Offer(&obs.RetainedTrace{
+		ID: rq.id, Tenant: rq.tenant, Start: rq.start, Dur: total,
+		Status: rq.status, Code: string(rq.code), Error: rq.code != "", Tracer: rq.tracer,
+	})
 }
 
 // tenantHooks returns the per-run hook layer counting parallel regions

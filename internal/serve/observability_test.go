@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"regexp"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -281,7 +282,7 @@ func TestStatsMigrationEquivalence(t *testing.T) {
 var promLineRE = regexp.MustCompile(`^[a-zA-Z_:][a-zA-Z0-9_:]*(\{[^}]*\})? -?[0-9]+(\.[0-9]+)?([eE][+-]?[0-9]+)?$`)
 
 // TestConcurrentTraceExport hammers /run from 8 clients (unique
-// X-Request-IDs, so every request is traced) while scrapers pull
+// X-Request-IDs, each naming its request's trace) while scrapers pull
 // /metrics and /debug/traces concurrently — under -race this is the
 // torn-snapshot check; the assertions verify parseable exposition
 // output and valid Chrome traces with request IDs on runtime region
@@ -462,36 +463,120 @@ func TestDisableObs(t *testing.T) {
 	}
 }
 
-// TestTraceSampling pins the head-sampling policy: TraceSample 1
-// traces everything, negative traces only explicit IDs.
-func TestTraceSampling(t *testing.T) {
+// TestEveryRequestTraced: a request sent without an X-Request-ID is
+// traced too. Its generated ID names a retained trace that holds the
+// execute span and the runtime's region events, and its log line
+// reads traced:true.
+func TestEveryRequestTraced(t *testing.T) {
 	logbuf := &syncBuffer{}
-	s := New(Config{Rate: RateLimit{RPS: -1}, TraceSample: -1, RequestLog: logbuf})
+	s := New(Config{Rate: RateLimit{RPS: -1}, RequestLog: logbuf})
 	ts := newTS(t, s)
-	resp, body := postRun(t, ts.URL, Request{Source: seqSrc})
+	resp, body := postRun(t, ts.URL, Request{Source: parSrc})
 	decodeOK(t, resp, body)
 	id := resp.Header.Get("X-Request-ID")
 	if id == "" {
 		t.Fatal("no generated request ID")
 	}
 	waitFor(t, "log line", func() bool { return strings.Contains(logbuf.String(), id) })
-	if strings.Contains(logbuf.String(), `"traced":true`) {
-		t.Fatalf("negative TraceSample still traced: %s", logbuf.String())
+	var line map[string]any
+	if err := json.Unmarshal([]byte(strings.TrimSpace(logbuf.String())), &line); err != nil {
+		t.Fatalf("log line is not JSON: %q: %v", logbuf.String(), err)
 	}
-	code, _ := getBody(t, ts.URL+"/debug/traces/"+id)
-	if code != http.StatusNotFound {
-		t.Fatalf("untraced request retained a trace (status %d)", code)
+	if line["id"] != id || line["traced"] != true {
+		t.Fatalf("log line for %s not traced: %v", id, line)
 	}
-
-	s2 := New(Config{Rate: RateLimit{RPS: -1}, TraceSample: 1})
-	ts2 := newTS(t, s2)
-	resp2, body2 := postRun(t, ts2.URL, Request{Source: seqSrc})
-	decodeOK(t, resp2, body2)
-	id2 := resp2.Header.Get("X-Request-ID")
-	waitFor(t, "sampled trace", func() bool {
-		code, _ := getBody(t, ts2.URL+"/debug/traces/"+id2)
+	waitFor(t, "retained trace", func() bool {
+		code, _ := getBody(t, ts.URL+"/debug/traces/"+id)
 		return code == http.StatusOK
 	})
+	_, trace := getBody(t, ts.URL+"/debug/traces/"+id)
+	for _, want := range []string{`"execute"`, `"region"`} {
+		if !strings.Contains(string(trace), want) {
+			t.Fatalf("trace %s lacks %s events: %s", id, want, trace)
+		}
+	}
+}
+
+// TestRefusalsNotRetained: an admission refusal is an error to the
+// client, but its trace is offered to neither retention pool, so a
+// rate-limited request's ID is not retrievable and not in the index.
+// finishRequest runs before the handler returns, and the small error
+// body is only flushed after that, so the refusal has settled once its
+// response arrives.
+func TestRefusalsNotRetained(t *testing.T) {
+	_, ts := testServer(t, Config{Rate: RateLimit{RPS: 0.5, Burst: 1}})
+	post := func(id string) int {
+		body, _ := json.Marshal(Request{Source: seqSrc, Tenant: "alice"})
+		hreq, _ := http.NewRequest("POST", ts.URL+"/run", bytes.NewReader(body))
+		hreq.Header.Set("X-Request-ID", id)
+		resp, err := http.DefaultClient.Do(hreq)
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	if code := post("admitted"); code != http.StatusOK {
+		t.Fatalf("first request: status %d", code)
+	}
+	if code := post("refused"); code != http.StatusTooManyRequests {
+		t.Fatalf("second request in the burst window: status %d, want 429", code)
+	}
+	waitFor(t, "admitted trace", func() bool {
+		code, _ := getBody(t, ts.URL+"/debug/traces/admitted")
+		return code == http.StatusOK
+	})
+	if code, body := getBody(t, ts.URL+"/debug/traces/refused"); code != http.StatusNotFound {
+		t.Fatalf("rate-limited request's trace served with status %d: %s", code, body)
+	}
+	_, idx := getBody(t, ts.URL+"/debug/traces")
+	if strings.Contains(string(idx), `"refused"`) {
+		t.Fatalf("trace index lists the rate-limited request: %s", idx)
+	}
+}
+
+// metricTotal sums every series of a counter family in a Prometheus
+// exposition.
+func metricTotal(t *testing.T, exposition []byte, family string) int64 {
+	t.Helper()
+	var total int64
+	found := false
+	for _, line := range strings.Split(string(exposition), "\n") {
+		name, value, ok := strings.Cut(line, " ")
+		if !ok || (name != family && !strings.HasPrefix(name, family+"{")) {
+			continue
+		}
+		n, err := strconv.ParseInt(value, 10, 64)
+		if err != nil {
+			t.Fatalf("series %q: %v", line, err)
+		}
+		total, found = total+n, true
+	}
+	if !found {
+		t.Fatalf("/metrics has no %s series:\n%s", family, exposition)
+	}
+	return total
+}
+
+// TestRuntimeMetricsCoverEveryRequest: the runtime's region counter,
+// fed by each request's observer, counts the same regions as the
+// per-tenant hook that every run carries — so the runtime families on
+// /metrics cover every request, not a sample of them.
+func TestRuntimeMetricsCoverEveryRequest(t *testing.T) {
+	_, ts := testServer(t, Config{})
+	const requests = 16
+	for i := 0; i < requests; i++ {
+		resp, body := postRun(t, ts.URL, Request{Source: parSrc})
+		decodeOK(t, resp, body)
+	}
+	_, metrics := getBody(t, ts.URL+"/metrics")
+	tenant := metricTotal(t, metrics, "gdsx_serve_tenant_regions_total")
+	runtime := metricTotal(t, metrics, "gdsx_interp_regions_parallel_total")
+	if tenant != requests || runtime != tenant {
+		t.Fatalf("after %d one-region requests: gdsx_interp_regions_parallel_total %d, gdsx_serve_tenant_regions_total %d",
+			requests, runtime, tenant)
+	}
 }
 
 // TestInvalidRequestIDRejected: a hostile X-Request-ID is replaced,

@@ -40,14 +40,6 @@ type Config struct {
 	// Rate is the per-tenant token bucket (default 50 req/s, burst
 	// 100; RPS < 0 disables rate limiting).
 	Rate RateLimit
-	// TraceSample head-samples request tracing: 1 in TraceSample
-	// requests without an inbound X-Request-ID gets a request-scoped
-	// trace (default 8; negative disables sampling so only requests
-	// that arrive with an X-Request-ID are traced). Traced requests
-	// run with the runtime observer attached, which costs them scalar
-	// register promotion — sampling is what keeps the leave-on
-	// overhead inside the obs budget.
-	TraceSample int
 	// TraceRetain bounds each retention pool of /debug/traces: the N
 	// slowest successful requests plus the N most recent errors
 	// (default obs.DefaultTraceRetain).
@@ -90,9 +82,6 @@ func (c *Config) fill() {
 	if c.Rate.RPS == 0 {
 		c.Rate = RateLimit{RPS: 50, Burst: 100}
 	}
-	if c.TraceSample == 0 {
-		c.TraceSample = 8
-	}
 }
 
 // Server is the gdsxd request processor: admission control, the
@@ -116,13 +105,11 @@ type Server struct {
 	// histograms live in reg (nil when Config.DisableObs — every
 	// instrument call then no-ops through obs's nil-receiver
 	// discipline); traces is the tail-retention store behind
-	// /debug/traces; logw the structured request log; seq the
-	// head-sampling sequence.
+	// /debug/traces; logw the structured request log.
 	reg    *obs.Registry
 	traces *obs.TraceStore
 	logMu  sync.Mutex
 	logw   io.Writer
-	seq    atomic.Int64
 }
 
 // New returns a configured Server.
@@ -467,15 +454,13 @@ func (s *Server) execute(ctx context.Context, req *Request, level int, rq *reqSt
 		ropts.Threads = 1
 		ropts.ForceSequential = true
 	}
-	// Per-tenant region accounting rides the hook chain on every
-	// request (region-level only — keeps the fast access path); the
-	// request-scoped observer is attached only to traced requests,
-	// which is where the runtime's region/guard/rollback events pick
-	// up the request ID via the tracer's tag.
+	// Per-tenant region accounting rides the hook chain, and the
+	// request-scoped observer carries the runtime's region/guard/
+	// rollback events into the request trace (tagged with the request
+	// ID). Both are region-level, so the run keeps the fast access path
+	// and register promotion.
 	ropts.Hooks = s.tenantHooks(rq.tenant)
-	if rq.traced {
-		ropts.Obs = rq.obs
-	}
+	ropts.Obs = rq.obs
 
 	resp := &Response{CacheHit: hit, ShedLevel: level}
 	execStart := time.Now()
@@ -509,20 +494,19 @@ func (s *Server) execute(ctx context.Context, req *Request, level int, rq *reqSt
 			prog = entry.Native
 		}
 		// Profile-guided specialization, shed level 0 only: the first run
-		// of a cache entry pays for a hot-site harvest; every later run
-		// reuses the published profile for free. A traced request shares
-		// its observer with the harvest (one observer per run) instead of
-		// attaching a second one.
-		harvest := (*gdsx.Observer)(nil)
+		// of a cache entry pays for a hot-site harvest on the run's
+		// observer (a bare one on a DisableObs server); every later run
+		// reuses the published profile for free.
+		var harvest *obs.HotSites
 		if level <= ShedNone && o.opt == gdsx.OptDefault {
 			if p := entry.Profile(); p != nil {
 				ropts.OptProfile = p
-			} else if rq.traced {
-				rq.obs.Hot = obs.NewHotSites()
-				harvest = rq.obs
 			} else {
-				harvest = gdsx.NewObserver(true)
-				ropts.Obs = harvest
+				if ropts.Obs == nil {
+					ropts.Obs = &gdsx.Observer{}
+				}
+				harvest = obs.NewHotSites()
+				ropts.Obs.Hot = harvest
 			}
 		}
 		res, err := prog.Run(ropts)
@@ -530,7 +514,7 @@ func (s *Server) execute(ctx context.Context, req *Request, level int, rq *reqSt
 			return nil, classifyRunError(rctx, err)
 		}
 		if harvest != nil {
-			entry.SetProfile(gdsx.SiteProfileFromReports(harvest.Hot.Report()))
+			entry.SetProfile(gdsx.SiteProfileFromReports(harvest.Report()))
 		}
 		resp.Output = res.Output
 		resp.Ops = totalOps(res)

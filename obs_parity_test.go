@@ -94,6 +94,45 @@ func TestObsEngineParity(t *testing.T) {
 	}
 }
 
+// TestObserverKeepsPromotion pins which observers cost the optimizer
+// its register promotion, read off Result.MemOps (promoted reads skip
+// the cache model). The standard observer sees only region-level
+// events, so the optimized run keeps its no-observer count; the hot-
+// site profiler's per-access Observe hook turns promotion off, so the
+// count rises to the unoptimized one.
+func TestObserverKeepsPromotion(t *testing.T) {
+	for _, w := range workloads.All() {
+		w := w
+		t.Run(w.Name, func(t *testing.T) {
+			t.Parallel()
+			exp, err := Compile(w.Name+"-x.c", expandedSource(t, w, nil))
+			if err != nil {
+				t.Fatalf("compile expanded: %v", err)
+			}
+			for _, n := range []int{1, 2} {
+				memOps := func(opt OptLevel, o *Observer) int64 {
+					t.Helper()
+					res, err := exp.Run(RunOptions{Threads: n, Opt: opt, Obs: o})
+					if err != nil {
+						t.Fatalf("N=%d, opt %d: %v", n, opt, err)
+					}
+					return res.MemOps
+				}
+				bare, noopt := memOps(OptDefault, nil), memOps(OptNone, nil)
+				if bare >= noopt {
+					t.Fatalf("N=%d: promotion saved no memory ops (%d optimized, %d unoptimized)", n, bare, noopt)
+				}
+				if got := memOps(OptDefault, NewObserver(false)); got != bare {
+					t.Errorf("N=%d: MemOps with the standard observer = %d, without = %d", n, got, bare)
+				}
+				if got := memOps(OptDefault, NewObserver(true)); got != noopt {
+					t.Errorf("N=%d: MemOps with the hot-site profiler = %d, unoptimized = %d", n, got, noopt)
+				}
+			}
+		})
+	}
+}
+
 // guardVerdicts lists a trace's guard-verdict events with their
 // violation totals, which canonical form leaves out.
 func guardVerdicts(o *Observer) []string {

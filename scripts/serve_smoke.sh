@@ -1,11 +1,13 @@
 #!/usr/bin/env bash
 # Serve smoke: boots a real gdsxd process and checks the service
 # contract end to end — a well-formed POST runs to completion, the
-# observability surfaces work against real sockets (/metrics renders
-# parseable Prometheus exposition, an X-Request-ID is followable to
-# /debug/traces/{id}), a burst beyond capacity sheds with structured
-# 429s, and SIGTERM drains in-flight work and exits 0. CI runs this
-# after the unit suites; it needs only curl and a free port.
+# observability surfaces work against real sockets (every request is
+# traced: a generated request ID and an inbound X-Request-ID are both
+# followable to /debug/traces/{id}; /metrics renders parseable
+# Prometheus exposition with the runtime's families), a burst beyond
+# capacity sheds with structured 429s, and SIGTERM drains in-flight
+# work and exits 0. CI runs this after the unit suites; it needs only
+# curl and a free port.
 set -euo pipefail
 
 ADDR=127.0.0.1:${GDSXD_PORT:-8745}
@@ -36,13 +38,16 @@ QUICK_SRC='int main() { int i; long s = 0; long *a = (long*)malloc(256 * 8); par
 SLOW_SRC='int main() { int i; long *a = (long*)malloc(8 * 8); parallel for (i = 0; i < 8; i++) { long acc = 0; long j; for (j = 0; j < 150000; j++) { acc = acc + j; } a[i] = acc; } print_long(a[0]); return 0; }'
 SLOW_SRC2='int main() { int i; long *a = (long*)malloc(8 * 8); parallel for (i = 0; i < 8; i++) { long acc = 0; long j; for (j = 0; j < 155000; j++) { acc = acc + j; } a[i] = acc; } print_long(a[0]); return 0; }'
 
-post() { # post <src-var> <out-file> [extra json fields]
-    curl -s -o "$2" -w '%{http_code}' -X POST "$BASE/run" \
+post() { # post <src-var> <out-file> [extra json fields]; headers go to <out-file>.hdr
+    curl -s -o "$2" -D "$2.hdr" -w '%{http_code}' -X POST "$BASE/run" \
         -H 'Content-Type: application/json' \
         -d "{\"source\": $(printf '%s' "$1" | sed 's/"/\\"/g; s/^/"/; s/$/"/')${3:+, $3}}"
 }
 
-# 1. A well-formed request returns 200 with output.
+# 1. A well-formed request returns 200 with output. It carries no
+# X-Request-ID and is traced all the same: the generated ID comes back
+# on the response header and names a retained trace holding the
+# request's execute span.
 code=$(post "$QUICK_SRC" "$TMP/ok.json")
 if [ "$code" != 200 ]; then
     echo "serve_smoke: FAIL: want 200, got $code: $(cat "$TMP/ok.json")" >&2
@@ -50,7 +55,21 @@ if [ "$code" != 200 ]; then
 fi
 grep -q '"output"' "$TMP/ok.json"
 grep -q 5559680 "$TMP/ok.json" # sum of i*i for i in [0,256) = 255*256*511/6
-echo "serve_smoke: single request OK"
+ID=$(tr -d '\r' <"$TMP/ok.json.hdr" | awk 'tolower($1) == "x-request-id:" {print $2}')
+if [ -z "$ID" ]; then
+    echo "serve_smoke: FAIL: response without an X-Request-ID header" >&2
+    exit 1
+fi
+# Retention settles in a deferred step after the response; poll briefly.
+for _ in $(seq 1 20); do
+    curl -fsS "$BASE/debug/traces/$ID" >"$TMP/ok.trace" 2>/dev/null && break
+    sleep 0.1
+done
+if ! grep -q '"execute"' "$TMP/ok.trace"; then
+    echo "serve_smoke: FAIL: no retained trace with an execute span at /debug/traces/$ID" >&2
+    exit 1
+fi
+echo "serve_smoke: single request OK, traced as $ID"
 
 # 2. /metrics renders valid Prometheus text exposition: every
 # non-comment line is `name{labels} value`, and the families the
@@ -71,10 +90,15 @@ for fam in gdsx_serve_requests_total gdsx_serve_ok_total gdsx_serve_latency_us_b
     fi
 done
 grep -q '^gdsx_serve_requests_total [1-9]' "$TMP/metrics"
+# Request 1's observer fed the runtime families.
+if ! grep -qE '^gdsx_interp_regions_parallel_total [1-9]' "$TMP/metrics"; then
+    echo "serve_smoke: FAIL: gdsx_interp_regions_parallel_total missing or zero after request 1" >&2
+    exit 1
+fi
 echo "serve_smoke: /metrics exposition valid ($(grep -cvE '^(#|$)' "$TMP/metrics") series)"
 
-# 3. A request sent with an X-Request-ID is traced: the ID comes back
-# on the response header and its Chrome trace is retrievable from
+# 3. An inbound X-Request-ID names the request's trace: the ID comes
+# back on the response header and its Chrome trace is retrievable from
 # /debug/traces/{id} with the request's execute span in it.
 REQ_ID=smoke-trace-1
 code=$(curl -s -o "$TMP/traced.json" -w '%{http_code}' -X POST "$BASE/run" \
