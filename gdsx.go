@@ -15,7 +15,9 @@ package gdsx
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"sort"
+	"sync"
 	"time"
 
 	"gdsx/internal/ast"
@@ -148,26 +150,81 @@ type RunOptions struct {
 	// and returns *interp.CancelledError wrapping the context cause.
 	// Nil (or a context that can never be cancelled) costs nothing.
 	Ctx context.Context
-	// Memory injects a caller-owned simulated memory (see NewMemory),
-	// letting a service reuse pooled arenas across runs instead of
-	// allocating MemSize fresh each time. The caller must Reset the
-	// memory between runs; a run that re-executes internally (the
-	// guarded whole-program fallback, each AdaptiveRun attempt after
-	// the first) Resets it before the re-execution. MemSize is ignored
-	// when Memory is set.
+	// Memory injects a caller-owned simulated memory (see NewMemory)
+	// for a caller that inspects or sizes the memory itself; without
+	// it a run takes a pooled MemSize arena, which is no slower. The
+	// caller must Reset its memory between runs; a run that
+	// re-executes internally (the guarded whole-program fallback, each
+	// AdaptiveRun attempt after the first) Resets it before the
+	// re-execution. MemSize is ignored when Memory is set.
 	Memory *mem.Memory
 }
 
-// Memory re-exports the simulated memory for pooled reuse across runs.
+// Memory re-exports the simulated memory (see RunOptions.Memory).
 type Memory = mem.Memory
 
 // NewMemory allocates a simulated memory of the given capacity in
-// bytes (0 selects the default 64 MiB), for use with RunOptions.Memory.
+// bytes (0 selects the default 64 MiB) for a caller that inspects or
+// sizes the memory itself; see RunOptions.Memory.
 func NewMemory(size int64) *Memory {
 	if size <= 0 {
 		size = 64 << 20
 	}
 	return mem.New(size)
+}
+
+// arenas is the free list behind every entry point that owns a run's
+// lifetime (Program.Run, GuardedRunPrecompiled, Program.ProfileLoop,
+// RunRuntimePrivatized and their wrappers) when RunOptions.Memory is
+// nil: a fresh arena zeroes its whole capacity, a pooled one was wiped
+// only up to its last run's address watermark. It holds at most
+// GOMAXPROCS arenas; a sync.Pool would be emptied by two collections.
+var arenas struct {
+	sync.Mutex
+	free []*Memory // the most recently returned last
+}
+
+// poolArena sets o.Memory, when the caller supplied none, to the most
+// recently pooled arena of capacity o.MemSize, else a fresh one, and
+// returns it for putArena; it returns nil for a caller's memory.
+func (o *RunOptions) poolArena() *Memory {
+	if o.Memory != nil {
+		return nil
+	}
+	size := o.MemSize
+	if size <= 0 {
+		size = 64 << 20
+	}
+	arenas.Lock()
+	for i := len(arenas.free) - 1; i >= 0; i-- {
+		if m := arenas.free[i]; m.Cap() == size {
+			o.Memory = m
+			arenas.free = append(arenas.free[:i], arenas.free[i+1:]...)
+			break
+		}
+	}
+	arenas.Unlock()
+	if o.Memory == nil {
+		o.Memory = NewMemory(size)
+	}
+	return o.Memory
+}
+
+// putArena wipes m with Memory.Reset and pools it, dropping the oldest
+// arena when the pool is full; nil is a no-op. Call it only once the
+// machine that used m has returned, never deferred: a panic can leave
+// an allocator lock held, and Reset would block on it.
+func putArena(m *Memory) {
+	if m == nil {
+		return
+	}
+	m.Reset()
+	arenas.Lock()
+	if len(arenas.free) >= runtime.GOMAXPROCS(0) {
+		arenas.free = append(arenas.free[:0], arenas.free[1:]...)
+	}
+	arenas.free = append(arenas.free, m)
+	arenas.Unlock()
 }
 
 // CancelledError re-exports the interpreter's cancellation error; a
@@ -283,8 +340,10 @@ func (o RunOptions) interpOptions() interp.Options {
 
 // Run executes the program.
 func (p *Program) Run(opts RunOptions) (Result, error) {
-	m := interp.New(p.AST, p.Info, opts.interpOptions())
-	return m.Run()
+	own := opts.poolArena()
+	res, err := interp.New(p.AST, p.Info, opts.interpOptions()).Run()
+	putArena(own)
+	return res, err
 }
 
 // NewMachine returns a configured interpreter for the program, for
@@ -307,7 +366,10 @@ func RunSource(file, src string, opts RunOptions) (Result, error) {
 // data dependence graph of the given loop plus the dynamic origins each
 // access touched.
 func (p *Program) ProfileLoop(loopID int, opts RunOptions) (*profile.Result, error) {
-	return profile.Loop(p.AST, p.Info, loopID, opts.interpOptions())
+	own := opts.poolArena()
+	res, err := profile.Loop(p.AST, p.Info, loopID, opts.interpOptions())
+	putArena(own)
+	return res, err
 }
 
 // ClassifyLoop profiles a loop and classifies its accesses per the

@@ -136,6 +136,14 @@ func GuardedRunPrecompiled(native *Program, tr *TransformResult, exp *Program, o
 	if native == nil || tr == nil || exp == nil {
 		return nil, fmt.Errorf("gdsx: guarded execution needs the native program, its transform result and the compiled expansion")
 	}
+	own := opts.poolArena()
+	res, err := guardedRun(native, tr, exp, opts)
+	putArena(own)
+	return res, err
+}
+
+// guardedRun is GuardedRunPrecompiled with opts.Memory set.
+func guardedRun(native *Program, tr *TransformResult, exp *Program, opts RunOptions) (*GuardedResult, error) {
 	threads := opts.Threads
 	if threads <= 0 {
 		threads = 1
@@ -190,22 +198,17 @@ func GuardedRunPrecompiled(native *Program, tr *TransformResult, exp *Program, o
 		return nil, err // a genuine runtime error, not a guard abort
 	}
 	// Dependence violation (or an unrecoverable sampled-tier suspicion)
-	// with no region recovery configured: discard the expanded run (its
-	// machine and memory are dropped wholesale) and re-execute the
-	// native program sequentially for the correct output. The caller's
-	// hooks observe this run; the monitor's do not (there is nothing
-	// left to guard). The fault injection is disarmed — its countdown
-	// already elapsed against the parallel attempt's allocation
-	// sequence, and the native program allocates differently.
+	// with no region recovery configured: discard the expanded run and
+	// re-execute the native program sequentially, in the Reset arena,
+	// for the correct output. The caller's hooks observe this run; the
+	// monitor's do not (there is nothing left to guard). The fault
+	// injection is disarmed — its countdown already elapsed against the
+	// parallel attempt's allocation sequence, and the native program
+	// allocates differently.
 	sopts := opts // keeps opts.Hooks: the caller's hooks see the fallback
 	sopts.ForceSequential = true
 	sopts.FailAlloc = 0
-	if sopts.Memory != nil {
-		// A caller-supplied arena still holds the abandoned attempt's
-		// blocks, accounting and fault countdown; the fallback needs it
-		// as fresh as the arena it would otherwise allocate.
-		sopts.Memory.Reset()
-	}
+	sopts.Memory.Reset()
 	seq, serr := native.Run(sopts)
 	if serr != nil {
 		return nil, fmt.Errorf("gdsx: sequential re-execution after guard abort: %w", serr)

@@ -214,9 +214,9 @@ type Options struct {
 	Ctx context.Context
 	// Memory, when non-nil, is the simulated memory to execute against
 	// instead of allocating a fresh one — it must be freshly created or
-	// Reset, with capacity Options.MemSize. Long-lived callers (the
-	// gdsxd service) pool memories between runs: resetting a used arena
-	// is proportional to its high-water mark, not its capacity.
+	// Reset, with capacity Options.MemSize. Package gdsx passes a pooled
+	// one on every run it owns: resetting a used arena costs up to its
+	// address high-water mark, not its capacity.
 	Memory *mem.Memory
 }
 

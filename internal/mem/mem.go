@@ -249,19 +249,20 @@ func (m *Memory) tickFail() bool {
 }
 
 // reserve charges size bytes against the live count, enforcing the
-// optional limit exactly even under concurrent allocation: the add
-// happens first and is undone when it overshoots. Callers must
+// optional limit exactly even under concurrent allocation: the
+// compare-and-swap never stores a count above the limit. Callers must
 // un-reserve if the allocation subsequently fails.
 func (m *Memory) reserve(size int64) bool {
 	lim := m.limit.Load()
-	if lim > 0 && m.liveBytes.Add(size) > lim {
-		m.liveBytes.Add(-size)
-		return false
+	for {
+		live := m.liveBytes.Load()
+		if lim > 0 && live+size > lim {
+			return false
+		}
+		if m.liveBytes.CompareAndSwap(live, live+size) {
+			return true
+		}
 	}
-	if lim <= 0 {
-		m.liveBytes.Add(size)
-	}
-	return true
 }
 
 // finishAlloc completes a successful allocation from either path:
@@ -557,12 +558,12 @@ func (m *Memory) ResetHighWater() {
 
 // Reset returns the memory to its freshly-created state so a pooled
 // arena can be reused across runs: every block is released, the free
-// list covers the whole address space again, shard arenas and the slab
-// registry are emptied, accounting is zeroed, and the limit and
-// fault-injection hooks are disarmed. The data wipe is proportional to
-// the address high-water mark rather than the capacity, so pooling
-// small runs in a large arena stays cheap. Not safe to call while any
-// other operation on the memory is in flight.
+// list covers the whole address space again under the NextFit scan
+// policy, shard arenas and the slab registry are emptied, accounting is
+// zeroed, and the limit and fault-injection hooks are disarmed. The
+// data wipe is proportional to the address high-water mark rather than
+// the capacity, so pooling small runs in a large arena stays cheap. Not
+// safe to call while any other operation on the memory is in flight.
 func (m *Memory) Reset() {
 	// Allocation zeroes every block it hands out, but wiping to the
 	// watermark also erases freed-and-never-reused bytes, so a pooled
@@ -571,6 +572,7 @@ func (m *Memory) Reset() {
 	m.mu.Lock()
 	m.live = nil
 	m.freeList = []Block{{Base: NullGuard, Size: int64(len(m.data)) - NullGuard}}
+	m.policy = NextFit
 	m.cursor = 0
 	m.mu.Unlock()
 	for i := range m.shards {

@@ -17,6 +17,7 @@ func TestResetRestoresFreshState(t *testing.T) {
 
 	m.SetLimit(1 << 19)
 	m.SetFailAlloc(1_000_000)
+	m.SetScanPolicy(FirstFit)
 	var addrs []int64
 	for i := 0; i < 16; i++ {
 		a, err := m.Alloc(128, i, "")
@@ -60,6 +61,29 @@ func TestResetRestoresFreshState(t *testing.T) {
 		if ra != fa {
 			t.Fatalf("alloc %d: reset memory at %d, fresh memory at %d", i, ra, fa)
 		}
+	}
+	// ...under the fresh memory's NextFit policy: once the free list
+	// has holes, FirstFit (set before the Reset) would place the next
+	// block in the first hole instead of past the last carve.
+	holes := func(mm *Memory) int64 {
+		for i := 0; i < 8; i++ {
+			h, err1 := mm.Alloc(16, 0, "")
+			_, err2 := mm.Alloc(16, 0, "")
+			if err1 != nil || err2 != nil {
+				t.Fatalf("hole pattern alloc: %v / %v", err1, err2)
+			}
+			if err := mm.Free(h); err != nil {
+				t.Fatalf("hole pattern free: %v", err)
+			}
+		}
+		a, err := mm.Alloc(16, 0, "")
+		if err != nil {
+			t.Fatalf("alloc after holes: %v", err)
+		}
+		return a
+	}
+	if ra, fa := holes(m), holes(fresh); ra != fa {
+		t.Fatalf("scan policy survived Reset: next block at %d, fresh memory at %d", ra, fa)
 	}
 	// The limit and the armed fault injection must be gone.
 	if _, err := m.Alloc(1<<19+64, 0, ""); err != nil {

@@ -27,8 +27,8 @@
 // Touched origins are remembered per site as the last two blocks seen,
 // for as long as the memory's live-block generation (mem.Memory.Gen)
 // stays unchanged. Callers that profile several loops can pass one
-// arena in the options' Memory and Reset it between loops, as
-// gdsx.Transform does.
+// arena in the options' Memory and Reset it between loops, as the
+// gdsx package's arena pool does.
 package profile
 
 import (

@@ -32,9 +32,7 @@ type Config struct {
 	QueueDepth int
 	// CacheEntries bounds the transform cache (default 128).
 	CacheEntries int
-	// PoolArenas bounds the memory pool (default MaxConcurrent).
-	PoolArenas int
-	// ArenaBytes is the pooled arena capacity; it must cover
+	// ArenaBytes is each run's simulated memory capacity; it must cover
 	// Limits.MaxMemLimit (default 64 MiB).
 	ArenaBytes int64
 	// Rate is the per-tenant token bucket (default 50 req/s, burst
@@ -70,9 +68,6 @@ func (c *Config) fill() {
 	if c.CacheEntries <= 0 {
 		c.CacheEntries = 128
 	}
-	if c.PoolArenas <= 0 {
-		c.PoolArenas = c.MaxConcurrent
-	}
 	if c.ArenaBytes <= 0 {
 		c.ArenaBytes = 64 << 20
 	}
@@ -85,13 +80,11 @@ func (c *Config) fill() {
 }
 
 // Server is the gdsxd request processor: admission control, the
-// degradation ladder, the transform cache, pooled memory, and the
-// recovered execution path. It is an http.Handler factory — mount
-// Handler() on any listener.
+// degradation ladder, the transform cache, and the recovered execution
+// path. It is an http.Handler factory — mount Handler() on any listener.
 type Server struct {
 	cfg     Config
 	cache   *Cache
-	pool    *MemPool
 	limiter *Limiter
 	ladder  *Ladder
 
@@ -118,7 +111,6 @@ func New(cfg Config) *Server {
 	s := &Server{
 		cfg:     cfg,
 		cache:   NewCache(cfg.CacheEntries),
-		pool:    NewMemPool(cfg.PoolArenas, cfg.ArenaBytes),
 		limiter: NewLimiter(cfg.Rate),
 		ladder:  NewLadder(),
 		sem:     make(chan struct{}, cfg.MaxConcurrent),
@@ -432,18 +424,15 @@ func (s *Server) execute(ctx context.Context, req *Request, level int, rq *reqSt
 		return nil, entry.Err
 	}
 
-	arena := s.pool.Get()
-	defer s.pool.Put(arena)
-
 	sched, _ := gdsx.SchedFromString(o.Sched)
 	ropts := gdsx.RunOptions{
 		Threads:  o.Threads,
 		Opt:      o.opt,
 		Sched:    sched,
+		MemSize:  s.cfg.ArenaBytes,
 		MemLimit: o.MemLimit,
 		MaxOps:   o.MaxOps,
 		Ctx:      rctx,
-		Memory:   arena,
 		Recover:  &gdsx.RecoverySpec{},
 		// The watchdog composes with the context deadline: the deadline
 		// cancels the whole run cooperatively, while a region stuck past

@@ -45,12 +45,14 @@ type RtStats struct {
 func (p *Program) RunRuntimePrivatized(privateSites []int, ropts RunOptions) (Result, RtStats, error) {
 	rt := rtpriv.New(privateSites, rtpriv.DefaultModel())
 	ropts.Hooks = rt.Hooks()
+	own := ropts.poolArena()
 	iopts := ropts.interpOptions()
 	// The monitor must engage even for single-thread overhead runs.
 	iopts.ParallelizeSingle = true
 	m := interp.New(p.AST, p.Info, iopts)
 	rt.Bind(m)
 	res, err := m.Run()
+	putArena(own)
 	s := rt.Stats()
 	return res, RtStats{Monitored: s.Monitored, Copies: s.Copies, CopiedBytes: s.CopiedBytes}, err
 }

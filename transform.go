@@ -21,9 +21,9 @@ type TransformOptions struct {
 	// Classify tunes the Definition 5 classification.
 	Classify *ddg.Options
 	// ProfileOpts configure the profiling runs (memory size etc.).
-	// Every loop is profiled in one simulated memory: ProfileOpts.Memory
-	// when set (Transform resets it between loops and leaves the final
-	// Reset to the caller), otherwise one NewMemory(MemSize).
+	// Each loop is profiled in a pooled arena, or in ProfileOpts.Memory
+	// when a caller that inspects or sizes the memory sets it: Transform
+	// resets that between loops and leaves the final Reset to the caller.
 	ProfileOpts RunOptions
 	// ProfileSource, when non-empty, is an alternate version of the
 	// program (typically a smaller input scale) used for the dependence
@@ -118,23 +118,16 @@ func Transform(p *Program, opts TransformOptions) (*TransformResult, error) {
 		profProg = pp
 	}
 
-	// One arena for every profiling run (see ProfileOpts), allocated
-	// on first use when the caller supplies none.
-	popts := opts.ProfileOpts
-	profiled := false
 	var las []expand.LoopAnalysis
 	for _, id := range loops {
 		var g *ddg.Graph
 		if user, ok := opts.Graphs[id]; ok {
 			g = user
 		} else {
-			if popts.Memory == nil {
-				popts.Memory = NewMemory(popts.MemSize)
-			} else if profiled {
-				popts.Memory.Reset()
+			if m := opts.ProfileOpts.Memory; m != nil && len(res.Profiles) > 0 {
+				m.Reset() // the caller's arena holds the last loop's run
 			}
-			profiled = true
-			pr, err := profProg.ProfileLoop(id, popts)
+			pr, err := profProg.ProfileLoop(id, opts.ProfileOpts)
 			if err != nil {
 				return nil, fmt.Errorf("gdsx: profiling loop %d: %w", id, err)
 			}
