@@ -25,7 +25,7 @@ func transformWith(t *testing.T, src string, opts expand.Options) (*TransformRes
 	if err != nil {
 		t.Fatalf("Transform: %v", err)
 	}
-	res, err := RunSource("abl-x.c", tr.Source, RunOptions{Threads: 1, Trace: true})
+	res, err := tr.Expanded.Run(RunOptions{Threads: 1, Trace: true})
 	if err != nil {
 		t.Fatalf("run: %v\n%s", err, tr.Source)
 	}
@@ -183,11 +183,11 @@ int main() {
 			trR.Reports[0].Structures, trS.Reports[0].Structures)
 	}
 	for _, n := range []int{1, 8} {
-		a, err := RunSource("s.c", trS.Source, RunOptions{Threads: n})
+		a, err := trS.Expanded.Run(RunOptions{Threads: n})
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := RunSource("r.c", trR.Source, RunOptions{Threads: n})
+		b, err := trR.Expanded.Run(RunOptions{Threads: n})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -219,7 +219,7 @@ func TestAblationAdaptiveLayout(t *testing.T) {
 	if tr.Reports[0].LayoutUsed != expand.Bonded {
 		t.Fatalf("recast buffer should select bonded, got %v", tr.Reports[0].LayoutUsed)
 	}
-	res, err := RunSource("recast-a.c", tr.Source, RunOptions{Threads: 4})
+	res, err := tr.Expanded.Run(RunOptions{Threads: 4})
 	if err != nil || res.Output != native.Output {
 		t.Fatalf("adaptive bonded run: %v %q vs %q", err, res.Output, native.Output)
 	}
@@ -240,7 +240,7 @@ func TestAblationAdaptiveLayout(t *testing.T) {
 	if tr2.Reports[0].LayoutUsed != expand.Interleaved {
 		t.Fatalf("interleavable buffer should select interleaved, got %v", tr2.Reports[0].LayoutUsed)
 	}
-	res2, err := RunSource("il-a.c", tr2.Source, RunOptions{Threads: 4})
+	res2, err := tr2.Expanded.Run(RunOptions{Threads: 4})
 	if err != nil || res2.Output != native2.Output {
 		t.Fatalf("adaptive interleaved run: %v %q vs %q", err, res2.Output, native2.Output)
 	}
@@ -319,7 +319,7 @@ int main() {
 		t.Fatalf("no interleaved indexing in:\n%s", tr.Source)
 	}
 	for _, n := range []int{1, 2, 8} {
-		res, err := RunSource("il-x.c", tr.Source, RunOptions{Threads: n})
+		res, err := tr.Expanded.Run(RunOptions{Threads: n})
 		if err != nil {
 			t.Fatalf("N=%d: %v\n%s", n, err, tr.Source)
 		}
@@ -375,7 +375,7 @@ int main() {
 		t.Fatalf("expected promotion alongside interleaving")
 	}
 	for _, n := range []int{1, 4, 8} {
-		res, err := RunSource("ap-x.c", tr.Source, RunOptions{Threads: n})
+		res, err := tr.Expanded.Run(RunOptions{Threads: n})
 		if err != nil || res.Output != native.Output {
 			t.Fatalf("N=%d: %v %q vs %q\n%s", n, err, res.Output, native.Output, tr.Source)
 		}

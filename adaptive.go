@@ -17,24 +17,15 @@ const (
 	LayoutAdaptive    = expand.Adaptive
 )
 
-// AdaptiveOptions configure AdaptiveRun.
-type AdaptiveOptions struct {
-	// Transform is the base pipeline configuration. Guard markers and
-	// commutative privatization are forced on — the adaptive ladder is
-	// built on both.
-	Transform TransformOptions
-	// Run configures each attempt's guarded execution. Recover defaults
-	// to &RecoverySpec{} (the ladder needs region rollback); Sample and
-	// FaultPlan are honored as given.
-	Run RunOptions
-	// MaxReexpand bounds the runtime re-expansions (default 2: one
-	// layout flip, one copy-count halving).
-	MaxReexpand int
-	// StrikeThreshold is how many violations at the same
-	// (loop, rule, site, other-site) pair trigger a re-expansion
-	// (default 2).
-	StrikeThreshold int
-}
+// The adaptive ladder's re-expansion policy.
+const (
+	// maxReexpand bounds the runtime re-expansions: one layout flip,
+	// one copy-count halving.
+	maxReexpand = 2
+	// strikeThreshold is how many violations at the same
+	// (loop, rule, site, other-site) pair trigger a re-expansion.
+	strikeThreshold = 2
+)
 
 // Reexpansion records one runtime re-expansion decision.
 type Reexpansion struct {
@@ -70,7 +61,7 @@ type AdaptiveResult struct {
 	// Attempts counts guarded executions (1 = no re-expansion needed).
 	Attempts int
 	// Threads is the copy count of the final attempt (re-expansion may
-	// have reduced it from Run.Threads).
+	// have reduced it from the caller's RunOptions.Threads).
 	Threads int
 	// Layout names the final attempt's copy layout.
 	Layout string
@@ -102,32 +93,24 @@ func flipLayout(l Layout) Layout {
 }
 
 // AdaptiveRun executes the program through the full adaptive
-// speculation ladder. Each attempt transforms the program (guard
-// markers and commutative privatization on) and runs it guarded with
-// region recovery; tier sampling (Run.Sample) and chaos injection
-// (Run.FaultPlan) apply per attempt. When one attempt's violation
-// reports show the same (loop, rule, site-pair) striking
-// StrikeThreshold times, the driver re-expands: first flipping the
-// copy layout (bonded <-> interleaved), then halving the copy count
+// speculation ladder. Each attempt transforms the program with topts,
+// guard markers and commutative privatization forced on (the ladder is
+// built on both), and runs it guarded with region recovery (ropts;
+// Recover defaults to &RecoverySpec{}); tier sampling (ropts.Sample)
+// and chaos injection (ropts.FaultPlan) apply per attempt. When one
+// attempt's violation reports show the same (loop, rule, site-pair)
+// striking strikeThreshold times, AdaptiveRun re-expands: first flipping
+// the copy layout (bonded <-> interleaved), then halving the copy count
 // (thread count), re-admitting the program on a fresh recovery ladder
-// each time. Decisions — including re-expansions that fail, whether
-// rejected by the pass or injected by FaultPlan.FailReexpand — are
-// recorded in the result and as "reexpand" events on Run.Obs.
+// each time, at most maxReexpand times. Decisions — including
+// re-expansions that fail, whether rejected by the pass or injected by
+// FaultPlan.FailReexpand — are recorded in the result and as
+// "reexpand" events on ropts.Obs.
 //
 // The returned result's Final.Result carries the output of the last
 // attempt; its correctness does not depend on the adaptation (every
 // attempt recovers violating regions individually).
-func AdaptiveRun(p *Program, opts AdaptiveOptions) (*AdaptiveResult, error) {
-	maxRe := opts.MaxReexpand
-	if maxRe <= 0 {
-		maxRe = 2
-	}
-	thr := opts.StrikeThreshold
-	if thr <= 0 {
-		thr = 2
-	}
-
-	topts := opts.Transform
+func AdaptiveRun(p *Program, topts TransformOptions, ropts RunOptions) (*AdaptiveResult, error) {
 	eopts := expand.Optimized()
 	if topts.Expand != nil {
 		eopts = *topts.Expand
@@ -137,7 +120,6 @@ func AdaptiveRun(p *Program, opts AdaptiveOptions) (*AdaptiveResult, error) {
 	topts.Expand = &eopts
 	topts.Guard = true
 
-	ropts := opts.Run
 	if ropts.Recover == nil {
 		ropts.Recover = &RecoverySpec{}
 	}
@@ -162,7 +144,7 @@ func AdaptiveRun(p *Program, opts AdaptiveOptions) (*AdaptiveResult, error) {
 		if attempt > 1 && ropts.Memory != nil {
 			ropts.Memory.Reset() // a caller arena still holds the last attempt
 		}
-		gr, err := GuardedRun(p, tr, ropts)
+		gr, err := GuardedRunPrecompiled(p, tr, tr.Expanded, ropts)
 		if err != nil {
 			return nil, err
 		}
@@ -182,7 +164,7 @@ func AdaptiveRun(p *Program, opts AdaptiveOptions) (*AdaptiveResult, error) {
 			for _, v := range rep.Violations {
 				k := pairKey{loop: rep.Loop, rule: v.Rule, site: v.Site, other: v.OtherSite}
 				strikes[k]++
-				if strikes[k] >= thr && worst == nil {
+				if strikes[k] >= strikeThreshold && worst == nil {
 					wk := k
 					worst = &wk
 				}
@@ -192,7 +174,7 @@ func AdaptiveRun(p *Program, opts AdaptiveOptions) (*AdaptiveResult, error) {
 		for k, n := range strikes {
 			res.Strikes[k.String()] = n
 		}
-		if worst == nil || reexpands >= maxRe {
+		if worst == nil || reexpands >= maxReexpand {
 			return res, nil
 		}
 

@@ -113,7 +113,7 @@ func TestCommutativePrivatization(t *testing.T) {
 	}
 	for _, e := range optLevels {
 		for _, nt := range []int{1, 2, 4, 8} {
-			res, err := GuardedRun(prog, tr, RunOptions{Threads: nt, Opt: e.opt})
+			res, err := GuardedRunPrecompiled(prog, tr, tr.Expanded, RunOptions{Threads: nt, Opt: e.opt})
 			if err != nil {
 				t.Fatalf("%s threads=%d: %v", e.name, nt, err)
 			}
@@ -160,7 +160,7 @@ func TestSampledGuardEscapeWindow(t *testing.T) {
 	}
 	for _, e := range optLevels {
 		for _, nt := range []int{1, 2, 4, 8} {
-			res, err := GuardedRun(prog, tr, RunOptions{
+			res, err := GuardedRunPrecompiled(prog, tr, tr.Expanded, RunOptions{
 				Threads: nt, Sched: SchedStatic, Opt: e.opt,
 				Recover: &RecoverySpec{}, Sample: &TierSpec{},
 			})
@@ -205,10 +205,8 @@ func TestSampledGuardEscapeWindow(t *testing.T) {
 func TestAdaptiveReexpansion(t *testing.T) {
 	a := workloads.AdversarialWindow()
 	prog, wantOut := adaptCompile(t, a)
-	res, err := AdaptiveRun(prog, AdaptiveOptions{
-		Transform: TransformOptions{ProfileSource: a.Profile(workloads.Test)},
-		Run:       RunOptions{Threads: 4, Sched: SchedStatic},
-	})
+	res, err := AdaptiveRun(prog, TransformOptions{ProfileSource: a.Profile(workloads.Test)},
+		RunOptions{Threads: 4, Sched: SchedStatic})
 	if err != nil {
 		t.Fatalf("adaptive run: %v", err)
 	}
@@ -241,10 +239,8 @@ func TestAdaptiveRunCallerArena(t *testing.T) {
 	prog, _ := adaptCompile(t, a)
 	run := func(arena *Memory) *AdaptiveResult {
 		t.Helper()
-		res, err := AdaptiveRun(prog, AdaptiveOptions{
-			Transform: TransformOptions{ProfileSource: a.Profile(workloads.Test)},
-			Run:       RunOptions{Threads: 4, Sched: SchedStatic, Memory: arena},
-		})
+		res, err := AdaptiveRun(prog, TransformOptions{ProfileSource: a.Profile(workloads.Test)},
+			RunOptions{Threads: 4, Sched: SchedStatic, Memory: arena})
 		if err != nil {
 			t.Fatalf("adaptive run: %v", err)
 		}
@@ -268,13 +264,8 @@ func TestAdaptiveRunCallerArena(t *testing.T) {
 func TestAdaptiveReexpandInjectedFailure(t *testing.T) {
 	a := workloads.AdversarialWindow()
 	prog, wantOut := adaptCompile(t, a)
-	res, err := AdaptiveRun(prog, AdaptiveOptions{
-		Transform: TransformOptions{ProfileSource: a.Profile(workloads.Test)},
-		Run: RunOptions{
-			Threads: 4, Sched: SchedStatic,
-			FaultPlan: &FaultPlan{FailReexpand: 1},
-		},
-	})
+	res, err := AdaptiveRun(prog, TransformOptions{ProfileSource: a.Profile(workloads.Test)},
+		RunOptions{Threads: 4, Sched: SchedStatic, FaultPlan: &FaultPlan{FailReexpand: 1}})
 	if err != nil {
 		t.Fatalf("adaptive run: %v", err)
 	}
@@ -321,7 +312,7 @@ func TestChaosFaultPlanConvergence(t *testing.T) {
 			if err != nil {
 				t.Fatalf("transform: %v", err)
 			}
-			res, err := GuardedRun(prog, tr, RunOptions{
+			res, err := GuardedRunPrecompiled(prog, tr, tr.Expanded, RunOptions{
 				Threads: 4,
 				Recover: &RecoverySpec{},
 				Sample:  &TierSpec{},

@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"reflect"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -44,6 +45,8 @@ func poolCases() []poolCase {
 }
 
 // poolBuilt holds a case's compiled programs and guarded transform.
+// exp is a compilation of tr.Source of its own, for the fresh-arena
+// reference; pooled runs share tr.Expanded.
 type poolBuilt struct {
 	c                     poolCase
 	native, profProg, exp *Program
@@ -62,8 +65,20 @@ func buildPoolCase(c poolCase) (*poolBuilt, error) {
 	if b.tr, err = Transform(b.native, TransformOptions{Guard: true, ProfileSource: c.prof}); err != nil {
 		return nil, err
 	}
-	b.exp, err = Compile(c.name+"-x.c", b.tr.Source)
+	if b.tr.Expanded.Source != b.tr.Source {
+		return nil, fmt.Errorf("%s: tr.Expanded is not a compilation of tr.Source", c.name)
+	}
+	b.exp, err = Compile(b.tr.Expanded.File, b.tr.Source)
 	return b, err
+}
+
+// expanded is the expansion a step runs: a fresh arena's run its own
+// compilation, a pooled run the shared tr.Expanded.
+func (b *poolBuilt) expanded(a arenaSource) *Program {
+	if a.fresh {
+		return b.exp
+	}
+	return b.tr.Expanded
 }
 
 // arenaSource says where a step's runs get their memory: a fresh
@@ -114,20 +129,22 @@ type transformSummary struct {
 // must be deeply equal between arena sources.
 var poolSteps = []struct {
 	name string
-	run  func(b *poolBuilt, a arenaSource) (any, error)
+	// expansion marks the steps that run b.expanded.
+	expansion bool
+	run       func(b *poolBuilt, a arenaSource) (any, error)
 }{
-	{"run/1", func(b *poolBuilt, a arenaSource) (any, error) {
+	{"run/1", false, func(b *poolBuilt, a arenaSource) (any, error) {
 		return b.native.Run(a.opts(RunOptions{}))
 	}},
-	{"run/2", func(b *poolBuilt, a arenaSource) (any, error) {
+	{"run/2", true, func(b *poolBuilt, a arenaSource) (any, error) {
 		if !b.c.raceFree {
 			return nil, nil
 		}
-		r, err := b.exp.Run(a.opts(RunOptions{Threads: 2, Sched: SchedStatic}))
+		r, err := b.expanded(a).Run(a.opts(RunOptions{Threads: 2, Sched: SchedStatic}))
 		return stable(r), err
 	}},
-	{"guarded", func(b *poolBuilt, a arenaSource) (any, error) {
-		g, err := GuardedRunPrecompiled(b.native, b.tr, b.exp,
+	{"guarded", true, func(b *poolBuilt, a arenaSource) (any, error) {
+		g, err := GuardedRunPrecompiled(b.native, b.tr, b.expanded(a),
 			a.opts(RunOptions{Threads: 2, Sched: SchedStatic, Recover: &RecoverySpec{}}))
 		if err != nil {
 			return nil, err
@@ -135,7 +152,7 @@ var poolSteps = []struct {
 		return guardedSummary{Result: stable(g.Result), Violations: len(g.Violations),
 			Recovered: g.Recovered, Suspicions: g.Suspicions, FellBack: g.FellBack}, nil
 	}},
-	{"profile", func(b *poolBuilt, a arenaSource) (any, error) {
+	{"profile", false, func(b *poolBuilt, a arenaSource) (any, error) {
 		prs := map[int]*profile.Result{}
 		for _, id := range b.profProg.ParallelLoops() {
 			pr, err := b.profProg.ProfileLoop(id, a.opts(RunOptions{}))
@@ -146,7 +163,7 @@ var poolSteps = []struct {
 		}
 		return prs, nil
 	}},
-	{"transform", func(b *poolBuilt, a arenaSource) (any, error) {
+	{"transform", false, func(b *poolBuilt, a arenaSource) (any, error) {
 		tr, err := Transform(b.native, TransformOptions{Guard: true, ProfileSource: b.c.prof,
 			ProfileOpts: a.opts(RunOptions{})})
 		if err != nil {
@@ -182,11 +199,11 @@ var poolFailures = []struct {
 	run  func(size int64) error
 }{
 	{"MemLimit OOM", func(size int64) error {
-		_, err := RunSource("dirty.c", dirtySrc(""), RunOptions{MemSize: size, MemLimit: 1<<20 + 256<<10})
+		_, err := runSource("dirty.c", dirtySrc(""), RunOptions{MemSize: size, MemLimit: 1<<20 + 256<<10})
 		return wantRunError(err, "out of memory")
 	}},
 	{"FailAlloc", func(size int64) error {
-		_, err := RunSource("dirty.c", dirtySrc(""), RunOptions{MemSize: size, FailAlloc: 40})
+		_, err := runSource("dirty.c", dirtySrc(""), RunOptions{MemSize: size, FailAlloc: 40})
 		return wantRunError(err, "fault injection")
 	}},
 	{"cancelled Ctx", func(size int64) error {
@@ -199,7 +216,7 @@ var poolFailures = []struct {
 				cancel()
 			}
 		}}
-		_, err := RunSource("dirty.c", dirtySrc("while (s > 0) { s = s + 1; }"),
+		_, err := runSource("dirty.c", dirtySrc("while (s > 0) { s = s + 1; }"),
 			RunOptions{MemSize: size, Ctx: ctx, Hooks: hooks})
 		if !errors.Is(err, context.Canceled) {
 			return fmt.Errorf("run ended with %v, want a cancellation", err)
@@ -210,7 +227,7 @@ var poolFailures = []struct {
 		// The limit and the countdown stay armed in the arena: the
 		// program needs less than 2 MiB and 250 allocations, the next
 		// 2-thread run or transform more.
-		_, err := RunSource("dirty.c", dirtySrc("long *p = 0; s = s + *p;"),
+		_, err := runSource("dirty.c", dirtySrc("long *p = 0; s = s + *p;"),
 			RunOptions{MemSize: size, MemLimit: 2 << 20, FailAlloc: 250})
 		return wantRunError(err, "null pointer dereference")
 	}},
@@ -288,8 +305,10 @@ func TestArenaPoolParity(t *testing.T) {
 
 // TestArenaPoolParityConcurrent runs the parity check from 8 goroutines
 // at once, so more runs than GOMAXPROCS share the pool, each with
-// failed runs between its own. It uses 8 MiB arenas to keep the
-// footprint of 8 live arenas small.
+// failed runs between its own. First every goroutine runs every case's
+// expansion steps, plain and guarded in an order that alternates
+// between goroutines, so 8 concurrent runs share each tr.Expanded. It
+// uses 8 MiB arenas to keep the footprint of 8 live arenas small.
 func TestArenaPoolParityConcurrent(t *testing.T) {
 	const size = 8 << 20
 	cases := poolCases()
@@ -310,6 +329,22 @@ func TestArenaPoolParityConcurrent(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
+			var shared []int
+			for i, s := range poolSteps {
+				if s.expansion {
+					shared = append(shared, i)
+				}
+			}
+			if g%2 == 1 {
+				slices.Reverse(shared)
+			}
+			for ci := range cases {
+				for _, i := range shared {
+					if err := checkPooled(built[ci], i, want[ci][i], size, "sharing tr.Expanded"); err != nil {
+						t.Error(err)
+					}
+				}
+			}
 			for k := 0; k < 2; k++ {
 				ci := (2*g + k) % len(cases)
 				for i := range poolSteps {

@@ -234,19 +234,15 @@ func BenchmarkWallClockParallel(b *testing.B) {
 		b.Fatal(err)
 	}
 	threads := runtime.GOMAXPROCS(0)
-	xprog, err := gdsx.Compile("md5-x.c", tr.Source)
-	if err != nil {
-		b.Fatal(err)
-	}
 	var seq, par time.Duration
 	for i := 0; i < b.N; i++ {
 		t0 := time.Now()
-		if _, err := xprog.Run(gdsx.RunOptions{Threads: 1}); err != nil {
+		if _, err := tr.Expanded.Run(gdsx.RunOptions{Threads: 1}); err != nil {
 			b.Fatal(err)
 		}
 		seq += time.Since(t0)
 		t1 := time.Now()
-		if _, err := xprog.Run(gdsx.RunOptions{Threads: threads}); err != nil {
+		if _, err := tr.Expanded.Run(gdsx.RunOptions{Threads: threads}); err != nil {
 			b.Fatal(err)
 		}
 		par += time.Since(t1)

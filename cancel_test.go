@@ -123,7 +123,7 @@ func runCancelMid(t *testing.T, src string, opts RunOptions) error {
 	}
 	errc := make(chan error, 1)
 	go func() {
-		_, err := RunSource("cancel.c", src, opts)
+		_, err := runSource("cancel.c", src, opts)
 		errc <- err
 	}()
 	<-started
@@ -198,7 +198,7 @@ func TestCancelWithRecovery(t *testing.T) {
 func TestCancelBeforeRun(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	res, err := RunSource("pre.c", cancelLoopSrc, RunOptions{Threads: 2, Ctx: ctx})
+	res, err := runSource("pre.c", cancelLoopSrc, RunOptions{Threads: 2, Ctx: ctx})
 	checkCancelled(t, err, context.Canceled)
 	if res.Output != "" {
 		t.Fatalf("pre-cancelled run produced output %q", res.Output)
@@ -210,7 +210,7 @@ func TestCancelBeforeRun(t *testing.T) {
 func TestCancelDeadline(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
 	defer cancel()
-	_, err := RunSource("deadline.c", cancelLoopSrc,
+	_, err := runSource("deadline.c", cancelLoopSrc,
 		RunOptions{Threads: 4, Ctx: ctx, RegionTimeout: 30 * time.Second})
 	checkCancelled(t, err, context.DeadlineExceeded)
 }
@@ -218,7 +218,7 @@ func TestCancelDeadline(t *testing.T) {
 // TestUncancelledCtxIsFree: a background (never-cancellable) context
 // must not change behaviour — the run completes normally.
 func TestUncancelledCtxIsFree(t *testing.T) {
-	res, err := RunSource("bg.c", `
+	res, err := runSource("bg.c", `
 int main() {
 	int i;
 	long s = 0;

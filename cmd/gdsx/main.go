@@ -13,7 +13,8 @@
 // With -guard, the pipeline runs under the dependence-violation
 // monitor: accesses are checked at each parallel region's end against
 // the expansion's assumptions, and on violation the run falls back to
-// sequential re-execution of the native program (see gdsx.GuardedRun).
+// sequential re-execution of the native program (see
+// gdsx.GuardedRunPrecompiled).
 // Adding -recover upgrades the fallback to region-scoped rollback: the
 // violating (or faulting, or -region-timeout-exceeding) region alone
 // re-executes sequentially and the rest of the run stays parallel.
@@ -351,18 +352,14 @@ func pipelineCmd(args []string) error {
 		}
 	}
 	var out gdsx.Result
-	// expanded is the compiled expanded program, which resolves the
-	// hot-site profile's access-site IDs to source positions.
-	var expanded *gdsx.Program
 	if *adapt {
-		ares, aerr := gdsx.AdaptiveRun(prog, gdsx.AdaptiveOptions{Transform: topts, Run: ropts})
+		ares, aerr := gdsx.AdaptiveRun(prog, topts, ropts)
 		if aerr != nil {
 			return aerr
 		}
 		tr = ares.Transform
 		res := ares.Final
 		out = res.Result
-		expanded = res.Expanded
 		fmt.Print(out.Output)
 		fmt.Fprintf(os.Stderr, "adapt: %d attempt(s), %d re-expansion(s); final: %s layout, "+
 			"%d copies, %d suspicion(s), %d region recover(ies)\n",
@@ -389,12 +386,11 @@ func pipelineCmd(args []string) error {
 			gdsx.PublishAdaptiveStats(ropts.Obs.Metrics, ares)
 		}
 	} else if *guarded {
-		res, gerr := gdsx.GuardedRun(prog, tr, ropts)
+		res, gerr := gdsx.GuardedRunPrecompiled(prog, tr, tr.Expanded, ropts)
 		if gerr != nil {
 			return gerr
 		}
 		out = res.Result
-		expanded = res.Expanded
 		fmt.Print(out.Output)
 		switch {
 		case res.FellBack:
@@ -419,11 +415,7 @@ func pipelineCmd(args []string) error {
 			gdsx.PublishTierStats(ropts.Obs.Metrics, res.Tiers)
 		}
 	} else {
-		expanded, err = gdsx.Compile(prog.File+" (expanded)", tr.Source)
-		if err != nil {
-			return err
-		}
-		out, err = expanded.Run(ropts)
+		out, err = tr.Expanded.Run(ropts)
 		if err != nil {
 			return err
 		}
@@ -442,7 +434,9 @@ func pipelineCmd(args []string) error {
 	}
 	fmt.Fprintf(os.Stderr, "native vs %s%d-thread expanded: %s (%d structures expanded)\n",
 		kind, *threads, status, tr.Reports[0].Structures)
-	return writeObsOutputs(ropts.Obs, expanded, *traceOut, *metricsOut, *hotspots, *hotspotsOut, *hotspotsJSON)
+	// The expanded program resolves the hot-site profile's access-site
+	// IDs to source positions.
+	return writeObsOutputs(ropts.Obs, tr.Expanded, *traceOut, *metricsOut, *hotspots, *hotspotsOut, *hotspotsJSON)
 }
 
 // writeObsOutputs emits the observability artifacts the pipeline flags

@@ -78,7 +78,7 @@ int main() {
 `
 	for _, lv := range optLevels {
 		t.Run(lv.name, func(t *testing.T) {
-			res, err := RunSource("glob.c", src, RunOptions{Threads: 2, Opt: lv.opt})
+			res, err := runSource("glob.c", src, RunOptions{Threads: 2, Opt: lv.opt})
 			if err != nil {
 				t.Fatalf("run: %v", err)
 			}

@@ -56,7 +56,7 @@ func ExampleTransform() {
 
 	// The transformed program runs with real threads and produces the
 	// same output.
-	out, err := gdsx.RunSource("example-x.c", tr.Source, gdsx.RunOptions{Threads: 8})
+	out, err := tr.Expanded.Run(gdsx.RunOptions{Threads: 8})
 	if err != nil {
 		log.Fatal(err)
 	}

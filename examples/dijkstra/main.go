@@ -41,7 +41,7 @@ func main() {
 
 	// Real parallel execution must reproduce the output.
 	for _, n := range []int{2, 4, 8} {
-		res, err := gdsx.RunSource("dijkstra-x.c", tr.Source, gdsx.RunOptions{Threads: n})
+		res, err := tr.Expanded.Run(gdsx.RunOptions{Threads: n})
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -52,7 +52,7 @@ func main() {
 	fmt.Println("parallel outputs match at 2, 4 and 8 threads")
 
 	// Simulated speedups from one traced run.
-	traced, err := gdsx.RunSource("dijkstra-x.c", tr.Source, gdsx.RunOptions{Threads: 8, Trace: true})
+	traced, err := tr.Expanded.Run(gdsx.RunOptions{Threads: 8, Trace: true})
 	if err != nil {
 		log.Fatal(err)
 	}

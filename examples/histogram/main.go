@@ -83,8 +83,11 @@ func main() {
 	}
 	fmt.Print("native:    ", native.Output)
 
-	tr, out, err := gdsx.TransformAndRun(prog, gdsx.TransformOptions{},
-		gdsx.RunOptions{Threads: 8})
+	tr, err := gdsx.Transform(prog, gdsx.TransformOptions{})
+	if err != nil {
+		log.Fatal(err)
+	}
+	out, err := tr.Expanded.Run(gdsx.RunOptions{Threads: 8})
 	if err != nil {
 		log.Fatal(err)
 	}

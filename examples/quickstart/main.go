@@ -90,7 +90,7 @@ func main() {
 
 	// 4. Run the transformed program with real parallel threads.
 	for _, n := range []int{1, 2, 4, 8} {
-		res, err := gdsx.RunSource("figure1-x.c", tr.Source, gdsx.RunOptions{Threads: n})
+		res, err := tr.Expanded.Run(gdsx.RunOptions{Threads: n})
 		if err != nil {
 			log.Fatal(err)
 		}

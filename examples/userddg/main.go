@@ -84,7 +84,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	out, err := gdsx.RunSource("userddg-x.c", tr.Source, gdsx.RunOptions{Threads: 8})
+	out, err := tr.Expanded.Run(gdsx.RunOptions{Threads: 8})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -114,7 +114,7 @@ func main() {
 	}
 
 	for _, n := range []int{2, 8} {
-		res, err := gdsx.RunSource("wordcount-x.c", tr.Source, gdsx.RunOptions{Threads: n})
+		res, err := tr.Expanded.Run(gdsx.RunOptions{Threads: n})
 		if err != nil {
 			log.Fatal(err)
 		}

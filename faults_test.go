@@ -92,7 +92,7 @@ func TestFaultParity(t *testing.T) {
 			for i, lv := range optLevels {
 				opts := tc.opts
 				opts.Opt = lv.opt
-				_, err := RunSource("fault.c", tc.src, opts)
+				_, err := runSource("fault.c", tc.src, opts)
 				if err == nil {
 					t.Fatalf("%s: expected a runtime error", lv.name)
 				}
@@ -146,7 +146,7 @@ int main() {
 func TestFaultInParallelWorker(t *testing.T) {
 	for _, lv := range optLevels {
 		for _, nt := range []int{1, 2, 4} {
-			_, err := RunSource("pfault.c", parallelFaultSrc,
+			_, err := runSource("pfault.c", parallelFaultSrc,
 				RunOptions{Threads: nt, Opt: lv.opt, FailAlloc: 40})
 			if err == nil {
 				t.Fatalf("%s threads=%d: expected an allocation fault", lv.name, nt)
@@ -171,12 +171,12 @@ func TestFaultInParallelWorker(t *testing.T) {
 // completes normally at every thread count — the containment machinery
 // must not perturb clean runs.
 func TestFaultFreeRunUnaffected(t *testing.T) {
-	want, err := RunSource("pfault.c", parallelFaultSrc, RunOptions{ForceSequential: true})
+	want, err := runSource("pfault.c", parallelFaultSrc, RunOptions{ForceSequential: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, nt := range []int{2, 4} {
-		got, err := RunSource("pfault.c", parallelFaultSrc, RunOptions{Threads: nt})
+		got, err := runSource("pfault.c", parallelFaultSrc, RunOptions{Threads: nt})
 		if err != nil {
 			t.Fatalf("threads=%d: %v", nt, err)
 		}

@@ -8,8 +8,8 @@
 // Typical use:
 //
 //	prog, err := gdsx.Compile("dijkstra.c", src)
-//	res, err := gdsx.Transform(prog, gdsx.TransformOptions{})
-//	out, err := gdsx.RunSource("dijkstra-par.c", res.Source, gdsx.RunOptions{Threads: 8})
+//	tr, err := gdsx.Transform(prog, gdsx.TransformOptions{})
+//	out, err := tr.Expanded.Run(gdsx.RunOptions{Threads: 8})
 package gdsx
 
 import (
@@ -91,16 +91,13 @@ type RunOptions struct {
 	// robustness tests. Note that when a guarded run falls back or a
 	// region rolls back, the injection is disarmed rather than rewound:
 	// replaying the countdown would fire it at an unrelated allocation
-	// of the re-execution (see GuardedRun).
+	// of the re-execution (see GuardedRunPrecompiled).
 	FailAlloc int64
 	// Sched selects the parallel-loop scheduler: SchedStealing (the
 	// default work-stealing dispatch), SchedStatic or SchedDynamic.
 	// Every policy produces identical output, counters and guard
 	// verdicts; only load balance differs.
 	Sched SchedPolicy
-	// DispatchChunk sets the iterations per shared-counter grab for
-	// self-scheduled loops (0 = 1, the paper's DOACROSS chunk size).
-	DispatchChunk int
 	// Hooks intercept execution (profiling, runtime privatization).
 	Hooks *interp.Hooks
 	// Opt selects the engine's optimization level. The zero value
@@ -130,12 +127,12 @@ type RunOptions struct {
 	// injected faults surface only at the region-commit decision, which
 	// only recovery-enabled runs make. See interp.FaultPlan.
 	FaultPlan *FaultPlan
-	// Sample enables tiered guard sampling for guarded runs (GuardedRun
-	// and the adaptive driver): regions start fully guarded and, after
-	// a clean streak, drop to checking every k-th iteration, escalating
-	// back to full guarding on any suspicious access. &TierSpec{}
-	// selects the defaults; nil keeps every region fully guarded.
-	// Ignored by plain Run (no guard monitor to sample).
+	// Sample enables tiered guard sampling for guarded runs
+	// (GuardedRunPrecompiled and AdaptiveRun): regions start fully
+	// guarded and, after a clean streak, drop to checking every k-th
+	// iteration, escalating back to full guarding on any suspicious
+	// access. &TierSpec{} selects the defaults; nil keeps every region
+	// fully guarded. Ignored by plain Run (no guard monitor to sample).
 	Sample *TierSpec
 	// Obs attaches the runtime observability layer (package obs): an
 	// event tracer with a Chrome trace-event exporter, a metrics
@@ -153,10 +150,11 @@ type RunOptions struct {
 	// Memory injects a caller-owned simulated memory (see NewMemory)
 	// for a caller that inspects or sizes the memory itself; without
 	// it a run takes a pooled MemSize arena, which is no slower. The
-	// caller must Reset its memory between runs; a run that
-	// re-executes internally (the guarded whole-program fallback, each
-	// AdaptiveRun attempt after the first) Resets it before the
-	// re-execution. MemSize is ignored when Memory is set.
+	// caller must Reset its memory between runs; a call that runs the
+	// program more than once (the guarded whole-program fallback, each
+	// AdaptiveRun attempt after the first, each loop that Transform or
+	// PrivateSites profiles after the first) Resets it before each
+	// re-run. MemSize is ignored when Memory is set.
 	Memory *mem.Memory
 }
 
@@ -175,10 +173,11 @@ func NewMemory(size int64) *Memory {
 
 // arenas is the free list behind every entry point that owns a run's
 // lifetime (Program.Run, GuardedRunPrecompiled, Program.ProfileLoop,
-// RunRuntimePrivatized and their wrappers) when RunOptions.Memory is
-// nil: a fresh arena zeroes its whole capacity, a pooled one was wiped
-// only up to its last run's address watermark. It holds at most
-// GOMAXPROCS arenas; a sync.Pool would be emptied by two collections.
+// RunRuntimePrivatized and the calls built on them) when
+// RunOptions.Memory is nil: a fresh arena zeroes its whole capacity, a
+// pooled one was wiped only up to its last run's address watermark. It
+// holds at most GOMAXPROCS arenas; a sync.Pool would be emptied by two
+// collections.
 var arenas struct {
 	sync.Mutex
 	free []*Memory // the most recently returned last
@@ -272,7 +271,7 @@ type SchedPolicy = interp.SchedPolicy
 // Parallel-loop scheduling policies.
 const (
 	// SchedStealing dispatches DOALL iterations through per-worker
-	// work-stealing deques and DOACROSS iterations through chunked
+	// work-stealing deques and DOACROSS iterations through
 	// self-scheduling (the default).
 	SchedStealing = interp.SchedStealing
 	// SchedStatic uses contiguous static chunks for every loop.
@@ -325,7 +324,6 @@ func (o RunOptions) interpOptions() interp.Options {
 		MemLimit:        o.MemLimit,
 		FailAlloc:       o.FailAlloc,
 		Sched:           o.Sched,
-		DispatchChunk:   o.DispatchChunk,
 		Hooks:           o.Hooks,
 		Opt:             o.Opt,
 		OptProfile:      o.OptProfile,
@@ -351,15 +349,6 @@ func (p *Program) Run(opts RunOptions) (Result, error) {
 // privatization baseline).
 func (p *Program) NewMachine(opts RunOptions) *interp.Machine {
 	return interp.New(p.AST, p.Info, opts.interpOptions())
-}
-
-// RunSource compiles and runs a MiniC source in one step.
-func RunSource(file, src string, opts RunOptions) (Result, error) {
-	prog, err := Compile(file, src)
-	if err != nil {
-		return Result{}, err
-	}
-	return prog.Run(opts)
 }
 
 // ProfileLoop runs the program sequentially and returns the loop-level

@@ -95,8 +95,17 @@ func TestProfileSourceMismatchDetected(t *testing.T) {
 	}
 }
 
-func TestRunSourceExitAndOutput(t *testing.T) {
-	res, err := RunSource("x.c", `
+// runSource compiles and runs a MiniC source in one step.
+func runSource(file, src string, opts RunOptions) (Result, error) {
+	prog, err := Compile(file, src)
+	if err != nil {
+		return Result{}, err
+	}
+	return prog.Run(opts)
+}
+
+func TestRunExitAndOutput(t *testing.T) {
+	res, err := runSource("x.c", `
 int main() {
     print_str("hi");
     return 3;

@@ -55,7 +55,7 @@ func TestGuardDetectsExposedDependence(t *testing.T) {
 			native, tr := guardTransform(t, a)
 			want := sequentialOutput(t, native)
 			for _, nt := range guardThreads {
-				res, err := GuardedRun(native, tr, RunOptions{Threads: nt})
+				res, err := GuardedRunPrecompiled(native, tr, tr.Expanded, RunOptions{Threads: nt})
 				if err != nil {
 					t.Fatalf("threads=%d: guarded run: %v", nt, err)
 				}
@@ -82,7 +82,7 @@ func TestGuardDetectsExposedDependence(t *testing.T) {
 func TestGuardViolationReportNamesSites(t *testing.T) {
 	a := workloads.AdversarialStencil()
 	native, tr := guardTransform(t, a)
-	res, err := GuardedRun(native, tr, RunOptions{Threads: 4})
+	res, err := GuardedRunPrecompiled(native, tr, tr.Expanded, RunOptions{Threads: 4})
 	if err != nil {
 		t.Fatalf("guarded run: %v", err)
 	}
@@ -130,7 +130,7 @@ func TestGuardSilentOnProfiledInput(t *testing.T) {
 			}
 			want := sequentialOutput(t, native)
 			for _, nt := range guardThreads {
-				res, err := GuardedRun(native, tr, RunOptions{Threads: nt})
+				res, err := GuardedRunPrecompiled(native, tr, tr.Expanded, RunOptions{Threads: nt})
 				if err != nil {
 					t.Fatalf("threads=%d: %v", nt, err)
 				}
@@ -161,7 +161,7 @@ func TestGuardStandardWorkloadsClean(t *testing.T) {
 				t.Fatalf("transform: %v", err)
 			}
 			want := sequentialOutput(t, native)
-			res, err := GuardedRun(native, tr, RunOptions{Threads: 4})
+			res, err := GuardedRunPrecompiled(native, tr, tr.Expanded, RunOptions{Threads: 4})
 			if err != nil {
 				t.Fatalf("guarded run: %v", err)
 			}
@@ -183,7 +183,7 @@ func TestGuardBothEngines(t *testing.T) {
 	native, tr := guardTransform(t, a)
 	want := sequentialOutput(t, native)
 	for _, lv := range optLevels {
-		res, err := GuardedRun(native, tr, RunOptions{Threads: 4, Opt: lv.opt})
+		res, err := GuardedRunPrecompiled(native, tr, tr.Expanded, RunOptions{Threads: 4, Opt: lv.opt})
 		if err != nil {
 			t.Fatalf("%s: %v", lv.name, err)
 		}

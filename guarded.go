@@ -56,11 +56,6 @@ type GuardedResult struct {
 	// transformation planted __comm_note markers (see
 	// expand.Options.Commutative); nil otherwise.
 	Comm *CommStats
-	// Expanded is the compiled expanded program the guarded run
-	// executed. Hot-site profiles attribute cost to the expanded
-	// program's access sites; resolve them against Expanded.Info (e.g.
-	// via HotSiteFrames).
-	Expanded *Program
 }
 
 // commClasses reports how many commutative classes the transformation
@@ -73,8 +68,10 @@ func (tr *TransformResult) commClasses() int {
 	return n
 }
 
-// GuardedRun executes a transformed program under the guarded-execution
-// monitor. The transformation must have been produced with
+// GuardedRunPrecompiled executes a transformed program under the
+// guarded-execution monitor. exp must be a compilation of tr.Source,
+// normally tr.Expanded; native is the whole-program fallback. The
+// transformation must have been produced with
 // TransformOptions.Guard (or expand.Options.GuardNotes) so the expanded
 // program carries its copy-geometry markers; without them the monitor
 // sees no expanded structures and degrades to raw conflict detection.
@@ -117,21 +114,6 @@ func (tr *TransformResult) commClasses() int {
 // rather than re-armed: the countdown's allocation numbering belongs
 // to the parallel attempt, and replaying it would fire the fault at an
 // unrelated allocation of the re-execution.
-func GuardedRun(native *Program, tr *TransformResult, opts RunOptions) (*GuardedResult, error) {
-	if native == nil || tr == nil {
-		return nil, fmt.Errorf("gdsx: guarded execution needs the native program and its transform result")
-	}
-	exp, err := Compile(native.File+" (expanded)", tr.Source)
-	if err != nil {
-		return nil, fmt.Errorf("gdsx: compiling transformed program: %w", err)
-	}
-	return GuardedRunPrecompiled(native, tr, exp, opts)
-}
-
-// GuardedRunPrecompiled is GuardedRun with the expanded program's
-// compilation hoisted out: exp must be a compilation of tr.Source.
-// Callers that run the same transform repeatedly (the gdsxd service's
-// transform cache) compile once and amortize parse+sema across runs.
 func GuardedRunPrecompiled(native *Program, tr *TransformResult, exp *Program, opts RunOptions) (*GuardedResult, error) {
 	if native == nil || tr == nil || exp == nil {
 		return nil, fmt.Errorf("gdsx: guarded execution needs the native program, its transform result and the compiled expansion")
@@ -181,7 +163,6 @@ func guardedRun(native *Program, tr *TransformResult, exp *Program, opts RunOpti
 			Result:     out,
 			Violations: mon.Reports(),
 			Regions:    out.Regions,
-			Expanded:   exp,
 		}
 		if len(res.Violations) > 0 {
 			res.Violation = res.Violations[0]
@@ -217,7 +198,6 @@ func guardedRun(native *Program, tr *TransformResult, exp *Program, opts RunOpti
 		Result:     seq,
 		Violations: mon.Reports(),
 		FellBack:   true,
-		Expanded:   exp,
 	}
 	if ve != nil {
 		res.Violation = ve.Report

@@ -39,7 +39,7 @@ func TestHeadlineExpansionBeatsRuntimePrivatization(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	expanded, err := RunSource("bzip2-x.c", tr.Source, RunOptions{Threads: 1, Trace: true})
+	expanded, err := tr.Expanded.Run(RunOptions{Threads: 1, Trace: true})
 	if err != nil {
 		t.Fatal(err)
 	}

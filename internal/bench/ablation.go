@@ -104,8 +104,7 @@ func (h *Harness) tracedVariant(d *wlData, opts expand.Options) (gdsx.Result, er
 	if err != nil {
 		return gdsx.Result{}, fmt.Errorf("%s: variant transform: %w", d.w.Name, err)
 	}
-	res, err := gdsx.RunSource(d.w.Name+"-v.c", tr.Source,
-		h.run(gdsx.RunOptions{Threads: 1, Trace: true}))
+	res, err := tr.Expanded.Run(h.run(gdsx.RunOptions{Threads: 1, Trace: true}))
 	if err != nil {
 		return gdsx.Result{}, err
 	}
@@ -230,8 +229,7 @@ func (h *Harness) AblationLayout() ([]AblationLayoutRow, error) {
 		if err != nil {
 			return nil, fmt.Errorf("layout probe (%v): %w", layout, err)
 		}
-		res, err := gdsx.RunSource("layout-x.c", tr.Source,
-			h.run(gdsx.RunOptions{Threads: 8, Trace: true}))
+		res, err := tr.Expanded.Run(h.run(gdsx.RunOptions{Threads: 8, Trace: true}))
 		if err != nil {
 			return nil, err
 		}

@@ -131,10 +131,9 @@ func (h *Harness) adaptReexpand(quick bool) (Suite, error) {
 	// 4 threads static, so the violation window straddles a chunk
 	// boundary on every execution.
 	const threads = 4
-	ares, err := gdsx.AdaptiveRun(g.native, gdsx.AdaptiveOptions{
-		Transform: gdsx.TransformOptions{Guard: true, ProfileSource: w.Profile(h.cfg.Scale)},
-		Run:       h.run(gdsx.RunOptions{Threads: threads, Sched: gdsx.SchedStatic}),
-	})
+	ares, err := gdsx.AdaptiveRun(g.native,
+		gdsx.TransformOptions{Guard: true, ProfileSource: w.Profile(h.cfg.Scale)},
+		h.run(gdsx.RunOptions{Threads: threads, Sched: gdsx.SchedStatic}))
 	if err != nil {
 		return Suite{}, fmt.Errorf("%s: adaptive run: %w", w.Name, err)
 	}
@@ -148,15 +147,11 @@ func (h *Harness) adaptReexpand(quick bool) (Suite, error) {
 	if len(ares.Reexpansions) == 0 {
 		return Suite{}, fmt.Errorf("%s: the violating window triggered no re-expansion", w.Name)
 	}
-	adapted, err := gdsx.Compile(w.Name+" (re-expanded).c", ares.Transform.Source)
-	if err != nil {
-		return Suite{}, fmt.Errorf("%s: compile re-expansion: %w", w.Name, err)
-	}
 	// Both sides run the full ladder, sampling included. The tier spec
 	// only affects clean streaks, so the violating baseline is untouched
 	// by it; the adapted steady state earns the sampled tier at once.
-	run := func(exp *gdsx.Program, tr *gdsx.TransformResult, n int, m *gdsx.Memory) (*gdsx.GuardedResult, error) {
-		res, err := gdsx.GuardedRunPrecompiled(g.native, tr, exp, gdsx.RunOptions{Threads: n,
+	run := func(tr *gdsx.TransformResult, n int, m *gdsx.Memory) (*gdsx.GuardedResult, error) {
+		res, err := gdsx.GuardedRunPrecompiled(g.native, tr, tr.Expanded, gdsx.RunOptions{Threads: n,
 			Sched: gdsx.SchedStatic, Memory: m, Recover: &gdsx.RecoverySpec{}, Sample: &adaptSample})
 		if err == nil && res.Result.Output != want {
 			err = fmt.Errorf("output diverges from native")
@@ -169,7 +164,7 @@ func (h *Harness) adaptReexpand(quick bool) (Suite, error) {
 			Note: fmt.Sprintf("%d attempts, %d re-expansions -> %s x%d", ares.Attempts,
 				len(ares.Reexpansions), ares.Layout, ares.Threads),
 			Base: func(m *gdsx.Memory) (Sample, error) {
-				res, err := run(g.exp, g.tr, threads, m)
+				res, err := run(g.tr, threads, m)
 				if err != nil {
 					return Sample{}, err
 				}
@@ -180,7 +175,7 @@ func (h *Harness) adaptReexpand(quick bool) (Suite, error) {
 					Proxy: map[string]int64{"baseline_rollbacks": int64(res.Recovered)}}, nil
 			},
 			Cand: func(m *gdsx.Memory) (Sample, error) {
-				res, err := run(adapted, ares.Transform, ares.Threads, m)
+				res, err := run(ares.Transform, ares.Threads, m)
 				if err != nil {
 					return Sample{}, err
 				}
@@ -221,10 +216,6 @@ func (h *Harness) adaptComm(top int) (Suite, error) {
 	if err != nil {
 		return Suite{}, fmt.Errorf("%s: transform: %w", w.Name, err)
 	}
-	exp, err := gdsx.Compile(w.Name+" (expanded).c", tr.Source)
-	if err != nil {
-		return Suite{}, fmt.Errorf("%s: compile expanded: %w", w.Name, err)
-	}
 	// Traced sequential runs feed the simulator: the expansion left the
 	// accumulators shared — sequentially that is simply the in-order
 	// reduction, so the trace is exact — and marked the loop parallel
@@ -233,7 +224,7 @@ func (h *Harness) adaptComm(top int) (Suite, error) {
 	if err != nil {
 		return Suite{}, fmt.Errorf("%s: native run: %w", w.Name, err)
 	}
-	traced, err := exp.Run(h.run(gdsx.RunOptions{Threads: 1, Trace: true}))
+	traced, err := tr.Expanded.Run(h.run(gdsx.RunOptions{Threads: 1, Trace: true}))
 	if err != nil {
 		return Suite{}, fmt.Errorf("%s: expanded run: %w", w.Name, err)
 	}
@@ -262,7 +253,7 @@ func (h *Harness) adaptComm(top int) (Suite, error) {
 				// The region is clean (privatization removed its carried
 				// flow), so it must stay violation-free and actually route
 				// the accumulator traffic through private copies.
-				res, err := gdsx.GuardedRunPrecompiled(prog, tr, exp, gdsx.RunOptions{Threads: n,
+				res, err := gdsx.GuardedRunPrecompiled(prog, tr, tr.Expanded, gdsx.RunOptions{Threads: n,
 					Sched: gdsx.SchedStatic, Memory: m, Recover: &gdsx.RecoverySpec{},
 					Sample: &adaptSample})
 				if err != nil {

@@ -149,13 +149,11 @@ func (h *Harness) Data(w *workloads.Workload) (*wlData, error) {
 		return nil, fmt.Errorf("%s: transform (unoptimized): %w", w.Name, err)
 	}
 
-	d.opt, err = gdsx.RunSource(w.Name+"-x.c", d.optTR.Source,
-		h.run(gdsx.RunOptions{Threads: 1, Trace: true}))
+	d.opt, err = d.optTR.Expanded.Run(h.run(gdsx.RunOptions{Threads: 1, Trace: true}))
 	if err != nil {
 		return nil, fmt.Errorf("%s: expanded run: %w", w.Name, err)
 	}
-	d.unopt, err = gdsx.RunSource(w.Name+"-u.c", d.unoptTR.Source,
-		h.run(gdsx.RunOptions{Threads: 1, Trace: true}))
+	d.unopt, err = d.unoptTR.Expanded.Run(h.run(gdsx.RunOptions{Threads: 1, Trace: true}))
 	if err != nil {
 		return nil, fmt.Errorf("%s: unoptimized run: %w", w.Name, err)
 	}
@@ -190,8 +188,7 @@ func (h *Harness) Data(w *workloads.Workload) (*wlData, error) {
 	// transformed program with __nthreads = n. Runtime privatization:
 	// the monitor's per-thread copies during real parallel execution.
 	for _, n := range h.cfg.Threads {
-		res, err := gdsx.RunSource(w.Name+"-m.c", d.optTR.Source,
-			h.run(gdsx.RunOptions{Threads: n, ForceSequential: true}))
+		res, err := d.optTR.Expanded.Run(h.run(gdsx.RunOptions{Threads: n, ForceSequential: true}))
 		if err != nil {
 			return nil, fmt.Errorf("%s: memory run N=%d: %w", w.Name, n, err)
 		}

@@ -21,11 +21,11 @@ import (
 // with goroutine scheduling on an oversubscribed host.
 var guardGate = []string{"md5", "mpeg2-encoder", "256.bzip2"}
 
-// guardedProgram is a workload compiled, guard-transformed and its
-// expansion compiled — everything a timed guarded run reuses.
+// guardedProgram is a workload compiled and guard-transformed —
+// everything a timed guarded run reuses.
 type guardedProgram struct {
-	native, exp *gdsx.Program
-	tr          *gdsx.TransformResult
+	native *gdsx.Program
+	tr     *gdsx.TransformResult
 }
 
 // buildGuarded prepares a guarded run of src, profiled on psrc.
@@ -40,15 +40,11 @@ func (h *Harness) buildGuarded(name, src, psrc string) (*guardedProgram, error) 
 	if err != nil {
 		return nil, fmt.Errorf("%s: transform: %w", name, err)
 	}
-	exp, err := gdsx.Compile(name+" (expanded).c", tr.Source)
-	if err != nil {
-		return nil, fmt.Errorf("%s: compile expanded: %w", name, err)
-	}
-	return &guardedProgram{native: prog, exp: exp, tr: tr}, nil
+	return &guardedProgram{native: prog, tr: tr}, nil
 }
 
 func (g *guardedProgram) run(opts gdsx.RunOptions) (*gdsx.GuardedResult, error) {
-	return gdsx.GuardedRunPrecompiled(g.native, g.tr, g.exp, opts)
+	return gdsx.GuardedRunPrecompiled(g.native, g.tr, g.tr.Expanded, opts)
 }
 
 // buildWorkload is buildGuarded for a standard workload at the harness
@@ -78,7 +74,7 @@ func (h *Harness) guardSuites(quick bool) ([]Suite, error) {
 		// and its end-of-region replay.
 		s.Cases = append(s.Cases, Case{Name: w.Name,
 			Base: func(m *gdsx.Memory) (Sample, error) {
-				res, err := g.exp.Run(gdsx.RunOptions{Threads: threads, Memory: m})
+				res, err := g.tr.Expanded.Run(gdsx.RunOptions{Threads: threads, Memory: m})
 				return Sample{Output: res.Output}, err
 			},
 			Cand: func(m *gdsx.Memory) (Sample, error) {

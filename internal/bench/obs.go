@@ -98,9 +98,7 @@ func (h *Harness) obsSuites(quick bool) ([]Suite, error) {
 		if err != nil {
 			return nil, fmt.Errorf("%s: transform: %w", w.Name, err)
 		}
-		if exps[i], err = gdsx.Compile(w.Name+" (expanded).c", tr.Source); err != nil {
-			return nil, fmt.Errorf("%s: compile expanded: %w", w.Name, err)
-		}
+		exps[i] = tr.Expanded
 	}
 	var suites []Suite
 	for _, tier := range tiers {

@@ -4,8 +4,8 @@ package interp
 // hook runs first, then b's. Either argument may be nil, in which case
 // the other is returned unchanged. Redirect composes — b observes (and
 // may further redirect) the address a produced, and the simulated op
-// costs add. GuardedRun uses this to run the guard monitor's hooks
-// ahead of caller-supplied ones.
+// costs add. GuardedRunPrecompiled uses this to run the guard
+// monitor's hooks ahead of caller-supplied ones.
 //
 // Chaining three or more layers: ChainHooks is associative, so
 // ChainHooks(a, ChainHooks(b, c)) and ChainHooks(ChainHooks(a, b), c)
@@ -13,9 +13,10 @@ package interp
 // all the way down. The full stack of a guarded, observed run with
 // user hooks is ChainHooks(obs, ChainHooks(monitor, user)): the
 // observability adapter runs first (Machine.New prepends it), then the
-// guard monitor (GuardedRun prepends it to the caller's hooks), then
-// the user's. Layers that must see an event before a later layer can
-// abort the region rely on this order — see the caveat below.
+// guard monitor (GuardedRunPrecompiled prepends it to the caller's
+// hooks), then the user's. Layers that must see an event before a
+// later layer can abort the region rely on this order — see the
+// caveat below.
 //
 // Caveat: an aborted region may cut the chain short. When a layer's
 // ParallelEnd panics (the guard monitor raising a violation at the

@@ -67,7 +67,7 @@ func TestChainHooksOrder(t *testing.T) {
 			c := layerHooks("c", &log)
 			var chained *Hooks
 			if nesting == "right" {
-				// The stack GuardedRun + Machine.New builds:
+				// The stack GuardedRunPrecompiled + Machine.New builds:
 				// ChainHooks(obs, ChainHooks(monitor, user)).
 				chained = ChainHooks(a, ChainHooks(b, c))
 			} else {

@@ -163,18 +163,12 @@ type Options struct {
 	// first), a fault-injection hook for OOM-robustness tests.
 	FailAlloc int64
 	// Sched selects the parallel-loop scheduler. The zero value is
-	// SchedStealing (work-stealing deques for DOALL, chunked
-	// self-scheduling for DOACROSS); SchedStatic and SchedDynamic keep
-	// the fixed pre-stealing dispatches. All policies produce identical
-	// output, counters and guard semantics — only the iteration-to-
-	// thread assignment (and hence wall-clock balance) differs.
+	// SchedStealing (work-stealing deques for DOALL, self-scheduling
+	// for DOACROSS); SchedStatic and SchedDynamic keep the fixed
+	// pre-stealing dispatches. All policies produce identical output,
+	// counters and guard semantics — only the iteration-to-thread
+	// assignment (and hence wall-clock balance) differs.
 	Sched SchedPolicy
-	// DispatchChunk is the iteration count per shared-counter grab for
-	// self-scheduled loops (DOACROSS under SchedStealing/SchedDynamic,
-	// DOALL under SchedDynamic). 0 means 1, the paper's chunk size.
-	// Larger chunks amortize dispatch but narrow the ordered-section
-	// pipeline (see the chunk-sweep ablation).
-	DispatchChunk int
 	// Opt selects how much of the engine's optimization pipeline
 	// applies (see opt.go). The zero value is the full pipeline;
 	// OptNone reproduces the unoptimized closures.

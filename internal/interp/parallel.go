@@ -150,10 +150,10 @@ type parFor struct {
 // N = Options.NumThreads simulated threads, one goroutine each.
 // Dispatch follows Options.Sched: under the default SchedStealing,
 // DOALL loops run on per-worker work-stealing deques (see sched.go)
-// and DOACROSS loops self-schedule in chunks; SchedStatic restores the
-// paper's Gomp schedules (§4.3) — static chunking for DOALL, dynamic
-// chunk-1 plus ordered-section tickets for DOACROSS — and SchedDynamic
-// self-schedules everything from a shared counter.
+// and DOACROSS loops self-schedule from a shared counter; SchedStatic
+// restores the paper's Gomp schedules (§4.3) — static chunking for
+// DOALL, dynamic chunk-1 plus ordered-section tickets for DOACROSS —
+// and SchedDynamic self-schedules everything from a shared counter.
 //
 // Without Options.Recover the parallel attempt's failures propagate as
 // panics (Machine.Run unwraps them into errors); with it, a guard
@@ -280,10 +280,6 @@ func (t *thread) parallelAttempt(f *frame, p *parFor) {
 		order = &orderState{}
 	}
 	var next atomic.Int64 // dynamic-schedule iteration counter
-	chunk := int64(t.m.opts.DispatchChunk)
-	if chunk < 1 {
-		chunk = 1
-	}
 	policy := t.m.opts.Sched
 	if policy == SchedDynamic && t.m.opts.Hooks != nil && t.m.opts.Hooks.Guarded {
 		// Dynamic self-scheduling has no placement guarantee: a
@@ -362,11 +358,11 @@ func (t *thread) parallelAttempt(f *frame, p *parFor) {
 			case x.Par == ast.DOALL && policy == SchedStatic:
 				w.runStaticChunk(wf, x, lb, pvAddr, body)
 			case x.Par == ast.DOALL:
-				w.runDOALLDynamic(wf, x, lb, pvAddr, &next, chunk, body)
+				w.runDOALLDynamic(wf, x, lb, pvAddr, &next, body)
 			case policy == SchedStatic:
 				w.runOrderedStatic(wf, x, lb, pvAddr, order, body)
 			default:
-				w.runDynamic(wf, x, lb, pvAddr, &next, chunk, order, body)
+				w.runDynamic(wf, x, lb, pvAddr, &next, order, body)
 			}
 		}(i)
 	}
@@ -485,12 +481,12 @@ func (w *thread) runStaticChunk(f *frame, x *ast.For, lb loopBounds, pvAddr int6
 	}
 }
 
-// runDynamic executes iterations grabbed in chunk-sized pieces from a
-// shared counter (DOACROSS self-scheduling; the paper uses chunk 1),
+// runDynamic executes iterations grabbed one at a time from a shared
+// counter (DOACROSS self-scheduling with the paper's chunk size 1),
 // entering ordered sections in iteration order via the ticket in
-// order. Dispatch is charged as one CatSync op per iteration under
-// every chunk size, so counters stay policy-independent.
-func (w *thread) runDynamic(f *frame, x *ast.For, lb loopBounds, pvAddr int64, next *atomic.Int64, chunk int64, order *orderState, body cstmt) {
+// order. Dispatch is charged as one CatSync op per iteration, so
+// counters stay policy-independent.
+func (w *thread) runDynamic(f *frame, x *ast.For, lb loopBounds, pvAddr int64, next *atomic.Int64, order *orderState, body cstmt) {
 	w.order = order
 	defer func() { w.order = nil }()
 	var iterStart, iterEnd func(loopID int, iter int64, tid int)
@@ -498,35 +494,32 @@ func (w *thread) runDynamic(f *frame, x *ast.For, lb loopBounds, pvAddr int64, n
 		iterStart, iterEnd = h.IterStart, h.IterEnd
 	}
 	for {
-		lo := next.Add(chunk) - chunk
-		if lo >= lb.n {
+		k := next.Add(1) - 1
+		if k >= lb.n {
 			return
 		}
-		hi := min(lo+chunk, lb.n)
-		for k := lo; k < hi; k++ {
-			if w.cancel != nil && w.cancel.Load() {
-				return // a sibling worker faulted; stop at the safe point
-			}
-			w.counters[CatSync]++ // one dispatch per iteration
-			w.curIter = k
-			w.posted = false
-			w.inOrdered = false
-			w.storeTyped(pvAddr, x.IndVar.Type, value{I: lb.start + k*lb.step})
-			if iterStart != nil {
-				iterStart(x.ID, k, w.tid)
-			}
-			c := body(w, f)
-			if iterEnd != nil {
-				iterEnd(x.ID, k, w.tid)
-			}
-			if c == ctrlBreak || c == ctrlReturn {
-				rterrf(x.Pos(), "break/return out of a parallel loop")
-			}
-			// If the ordered section was skipped on this path, post now
-			// so later iterations are not blocked forever.
-			if order != nil && !w.posted {
-				w.syncPost()
-			}
+		if w.cancel != nil && w.cancel.Load() {
+			return // a sibling worker faulted; stop at the safe point
+		}
+		w.counters[CatSync]++ // one dispatch per iteration
+		w.curIter = k
+		w.posted = false
+		w.inOrdered = false
+		w.storeTyped(pvAddr, x.IndVar.Type, value{I: lb.start + k*lb.step})
+		if iterStart != nil {
+			iterStart(x.ID, k, w.tid)
+		}
+		c := body(w, f)
+		if iterEnd != nil {
+			iterEnd(x.ID, k, w.tid)
+		}
+		if c == ctrlBreak || c == ctrlReturn {
+			rterrf(x.Pos(), "break/return out of a parallel loop")
+		}
+		// If the ordered section was skipped on this path, post now
+		// so later iterations are not blocked forever.
+		if order != nil && !w.posted {
+			w.syncPost()
 		}
 	}
 }

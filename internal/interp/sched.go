@@ -24,16 +24,16 @@ const (
 	// increasing under any interleaving, which the guard monitor's
 	// replay relies on: same-thread accesses are serialized in
 	// iteration order, exactly as under static scheduling. DOACROSS
-	// loops self-schedule chunked grabs from a shared counter (chunk
-	// size Options.DispatchChunk, default 1), entering ordered
-	// sections in iteration order exactly as before.
+	// loops self-schedule one iteration at a time from a shared
+	// counter (the paper's chunk size 1), entering ordered sections in
+	// iteration order exactly as before.
 	SchedStealing SchedPolicy = iota
 	// SchedStatic is the pre-stealing scheduler: contiguous static
 	// chunks for every parallel loop (with DOACROSS ordered sections
 	// still entered in iteration order via tickets).
 	SchedStatic
-	// SchedDynamic self-schedules every parallel loop from a shared
-	// counter in DispatchChunk-sized grabs (the pre-stealing DOACROSS
+	// SchedDynamic self-schedules every parallel loop one iteration at
+	// a time from a shared counter (the pre-stealing DOACROSS
 	// scheduler, applied to DOALL too).
 	SchedDynamic
 )
@@ -266,41 +266,38 @@ func (w *thread) runStealing(f *frame, x *ast.For, lb loopBounds, pvAddr int64, 
 	}
 }
 
-// runDOALLDynamic executes a DOALL loop by self-scheduling
-// DispatchChunk-sized grabs from a shared counter (SchedDynamic).
-// Dispatch is charged as one CatSync op per worker — DOALL accounting
-// is policy-independent.
-func (w *thread) runDOALLDynamic(f *frame, x *ast.For, lb loopBounds, pvAddr int64, next *atomic.Int64, chunk int64, body cstmt) {
+// runDOALLDynamic executes a DOALL loop by self-scheduling one
+// iteration at a time from a shared counter (SchedDynamic). Dispatch
+// is charged as one CatSync op per worker — DOALL accounting is
+// policy-independent.
+func (w *thread) runDOALLDynamic(f *frame, x *ast.For, lb loopBounds, pvAddr int64, next *atomic.Int64, body cstmt) {
 	var iterStart, iterEnd func(loopID int, iter int64, tid int)
 	if h := w.m.opts.Hooks; h != nil {
 		iterStart, iterEnd = h.IterStart, h.IterEnd
 	}
 	w.counters[CatSync]++
 	for {
-		lo := next.Add(chunk) - chunk
-		if lo >= lb.n {
+		k := next.Add(1) - 1
+		if k >= lb.n {
 			return
 		}
-		hi := min(lo+chunk, lb.n)
-		for k := lo; k < hi; k++ {
-			if w.cancel != nil && w.cancel.Load() {
-				return
-			}
-			w.curIter = k
-			w.storeTyped(pvAddr, x.IndVar.Type, value{I: lb.start + k*lb.step})
-			if iterStart != nil {
-				iterStart(x.ID, k, w.tid)
-			}
-			c := body(w, f)
-			if iterEnd != nil {
-				iterEnd(x.ID, k, w.tid)
-			}
-			if c == ctrlBreak {
-				rterrf(x.Pos(), "break out of a parallel loop")
-			}
-			if c == ctrlReturn {
-				rterrf(x.Pos(), "return out of a parallel loop")
-			}
+		if w.cancel != nil && w.cancel.Load() {
+			return
+		}
+		w.curIter = k
+		w.storeTyped(pvAddr, x.IndVar.Type, value{I: lb.start + k*lb.step})
+		if iterStart != nil {
+			iterStart(x.ID, k, w.tid)
+		}
+		c := body(w, f)
+		if iterEnd != nil {
+			iterEnd(x.ID, k, w.tid)
+		}
+		if c == ctrlBreak {
+			rterrf(x.Pos(), "break out of a parallel loop")
+		}
+		if c == ctrlReturn {
+			rterrf(x.Pos(), "return out of a parallel loop")
 		}
 	}
 }

@@ -10,19 +10,18 @@ import (
 )
 
 // Entry is one cached transform-pipeline result: the compiled native
-// program, its transform (profiling + expansion — the expensive part),
-// and the compiled expanded program. Entries are immutable after
-// construction except for the harvested optimization profile, which is
-// published once via an atomic pointer.
+// program and its transform (profiling + expansion — the expensive
+// part), which carries the compiled expanded program. Entries are
+// immutable after construction except for the harvested optimization
+// profile, which is published once via an atomic pointer.
 //
 // Machine-level closure compilation is deliberately NOT cached: the
 // compiled closures capture their Machine, so each run builds its own.
 // What the cache removes is the parse→sema→profile→expand pipeline,
 // which dominates small-request latency.
 type Entry struct {
-	Native   *gdsx.Program
-	Tr       *gdsx.TransformResult
-	Expanded *gdsx.Program
+	Native *gdsx.Program
+	Tr     *gdsx.TransformResult
 	// Err is set instead of the programs when the pipeline rejected the
 	// source; caching rejections keeps a thundering herd of the same
 	// broken source from re-running sema each time.

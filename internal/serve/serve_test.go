@@ -288,6 +288,44 @@ func TestMemQuotaOOM(t *testing.T) {
 	decodeOK(t, resp, body)
 }
 
+// bigSrc needs 80 MiB, more than the default 64 MiB arena holds. The
+// array is a global, so the dependence profiler shadows only the byte
+// the program touches, not every byte a malloc would define.
+const bigSrc = `
+char big[83886080];
+long out[8];
+
+int main() {
+	int i;
+	big[83886079] = 1;
+	parallel for (i = 0; i < 8; i++) {
+		out[i] = (long)i * big[83886079];
+	}
+	long s = 0;
+	for (i = 0; i < 8; i++) { s = s + out[i]; }
+	print_long(s);
+	print_char('\n');
+	return 0;
+}
+`
+
+// TestProfilingUsesArenaBytes: a cache miss profiles the program in
+// ArenaBytes arenas, as large as the request's run gets, so a program
+// within the server's memory limit is not refused with an OOM from a
+// 64 MiB profiling arena.
+func TestProfilingUsesArenaBytes(t *testing.T) {
+	_, ts := testServer(t, Config{Limits: Limits{MaxMemLimit: 128 << 20}})
+	for _, guard := range []bool{false, true} {
+		resp, body := postRun(t, ts.URL, Request{
+			Source:  bigSrc,
+			Options: Options{Guard: guard, MemLimit: 100 << 20},
+		})
+		if r := decodeOK(t, resp, body); r.Output != "28\n" {
+			t.Fatalf("guard=%v: output %q, want 28", guard, r.Output)
+		}
+	}
+}
+
 func TestTimeoutMidRun(t *testing.T) {
 	_, ts := testServer(t, Config{})
 	start := time.Now()

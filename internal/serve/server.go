@@ -32,7 +32,8 @@ type Config struct {
 	QueueDepth int
 	// CacheEntries bounds the transform cache (default 128).
 	CacheEntries int
-	// ArenaBytes is each run's simulated memory capacity; it must cover
+	// ArenaBytes is each run's simulated memory capacity, the
+	// transform's profiling runs included; it must cover
 	// Limits.MaxMemLimit (default 64 MiB).
 	ArenaBytes int64
 	// Rate is the per-tenant token bucket (default 50 req/s, burst
@@ -355,9 +356,10 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 // transform's dependence-profiling runs execute the program, so they
 // carry the building request's context and the server's op ceiling —
 // otherwise a slow source would pin the build forever, past every
-// request deadline. Failures that reflect the builder's circumstances
-// rather than the source (deadline, quota) are marked transient.
-func buildEntry(ctx context.Context, file, src string, guarded bool, lim Limits) *Entry {
+// request deadline — in arenas as large as the runs'. Failures that
+// reflect the building request's circumstances rather than the source
+// (deadline, quota) are marked transient.
+func buildEntry(ctx context.Context, file, src string, guarded bool, cfg Config) *Entry {
 	native, err := gdsx.Compile(file, src)
 	if err != nil {
 		return &Entry{Err: errf(CodeCompile, "%v", err)}
@@ -369,7 +371,7 @@ func buildEntry(ctx context.Context, file, src string, guarded bool, lim Limits)
 	}
 	tr, err := gdsx.Transform(native, gdsx.TransformOptions{
 		Guard:       guarded,
-		ProfileOpts: gdsx.RunOptions{Ctx: ctx, MaxOps: lim.MaxOps},
+		ProfileOpts: gdsx.RunOptions{Ctx: ctx, MaxOps: cfg.Limits.MaxOps, MemSize: cfg.ArenaBytes},
 	})
 	if err != nil {
 		pe := classifyRunError(ctx, err)
@@ -378,11 +380,7 @@ func buildEntry(ctx context.Context, file, src string, guarded bool, lim Limits)
 		}
 		return &Entry{Err: errf(CodeTransform, "%v", err)}
 	}
-	exp, err := gdsx.Compile(file+" (expanded)", tr.Source)
-	if err != nil {
-		return &Entry{Err: errf(CodeTransform, "compiling expansion: %v", err)}
-	}
-	e.Tr, e.Expanded = tr, exp
+	e.Tr = tr
 	return e
 }
 
@@ -407,7 +405,7 @@ func (s *Server) execute(ctx context.Context, req *Request, level int, rq *reqSt
 	entry, hit := s.cache.Get(key, func() *Entry {
 		endBuild := rq.span("build")
 		t0 := time.Now()
-		e := buildEntry(rctx, "request.c", src, o.Guard, s.cfg.Limits)
+		e := buildEntry(rctx, "request.c", src, o.Guard, s.cfg)
 		s.reg.Histogram("serve.build_us").Observe(time.Since(t0).Microseconds())
 		endBuild("")
 		return e
@@ -469,7 +467,7 @@ func (s *Server) execute(ctx context.Context, req *Request, level int, rq *reqSt
 				RollbackEvery: o.FaultRollbackEvery,
 			}
 		}
-		gres, err := gdsx.GuardedRunPrecompiled(entry.Native, entry.Tr, entry.Expanded, ropts)
+		gres, err := gdsx.GuardedRunPrecompiled(entry.Native, entry.Tr, entry.Tr.Expanded, ropts)
 		if err != nil {
 			return nil, classifyRunError(rctx, err)
 		}
@@ -478,9 +476,9 @@ func (s *Server) execute(ctx context.Context, req *Request, level int, rq *reqSt
 		resp.Recovered = gres.Recovered
 		resp.Violations = len(gres.Violations)
 	} else {
-		prog := entry.Expanded
-		if prog == nil {
-			prog = entry.Native
+		prog := entry.Native
+		if entry.Tr != nil {
+			prog = entry.Tr.Expanded
 		}
 		// Profile-guided specialization, shed level 0 only: the first run
 		// of a cache entry pays for a hot-site harvest on the run's

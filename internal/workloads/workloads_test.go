@@ -58,7 +58,7 @@ func TestAllTransformedMatchNative(t *testing.T) {
 				t.Fatalf("Transform: %v", err)
 			}
 			for _, n := range []int{1, 2, 4, 8} {
-				got, err := gdsx.RunSource(w.Name+"-x.c", tr.Source, gdsx.RunOptions{Threads: n})
+				got, err := tr.Expanded.Run(gdsx.RunOptions{Threads: n})
 				if err != nil {
 					t.Fatalf("N=%d: %v\n--- transformed ---\n%s", n, err, tr.Source)
 				}
@@ -93,7 +93,7 @@ func TestAllTransformedUnoptimizedMatchNative(t *testing.T) {
 				t.Fatalf("Transform(unopt): %v", err)
 			}
 			for _, n := range []int{1, 4} {
-				got, err := gdsx.RunSource(w.Name+"-u.c", tr.Source, gdsx.RunOptions{Threads: n})
+				got, err := tr.Expanded.Run(gdsx.RunOptions{Threads: n})
 				if err != nil {
 					t.Fatalf("N=%d: %v\n--- transformed ---\n%s", n, err, tr.Source)
 				}

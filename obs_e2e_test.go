@@ -50,7 +50,7 @@ func TestObsTraceEndToEnd(t *testing.T) {
 	// Static scheduling: which rule the violating region trips first
 	// depends on the iteration-to-thread mapping, and this test asserts
 	// the exact carried-flow label the static map produces.
-	res, err := GuardedRun(native, tr, RunOptions{
+	res, err := GuardedRunPrecompiled(native, tr, tr.Expanded, RunOptions{
 		Threads: 4, Recover: &RecoverySpec{}, Obs: o, Sched: SchedStatic,
 	})
 	if err != nil {
@@ -153,7 +153,7 @@ func TestObsTraceEndToEnd(t *testing.T) {
 	if len(rep) == 0 {
 		t.Fatal("hot profiler recorded nothing")
 	}
-	frames := HotSiteFrames(res.Expanded)
+	frames := HotSiteFrames(tr.Expanded)
 	resolved, perCopy := 0, 0
 	for _, r := range rep {
 		if fs := frames(r.Site); len(fs) > 0 {
@@ -194,7 +194,7 @@ func TestObsHealthReportRendering(t *testing.T) {
 	if err != nil {
 		t.Fatalf("transform: %v", err)
 	}
-	res, err := GuardedRun(native, tr, RunOptions{Threads: 2, Recover: &RecoverySpec{}})
+	res, err := GuardedRunPrecompiled(native, tr, tr.Expanded, RunOptions{Threads: 2, Recover: &RecoverySpec{}})
 	if err != nil {
 		t.Fatalf("guarded run: %v", err)
 	}

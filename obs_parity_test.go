@@ -27,7 +27,7 @@ func obsRun(t *testing.T, name, src string, opt OptLevel, threads int) *Observer
 	t.Helper()
 	o := NewObserver(false)
 	o.IterSpans = true
-	_, err := RunSource(name, src, RunOptions{Threads: threads, Opt: opt, Obs: o})
+	_, err := runSource(name, src, RunOptions{Threads: threads, Opt: opt, Obs: o})
 	if err != nil {
 		t.Fatalf("%s (opt %d, %d threads): %v", name, opt, threads, err)
 	}
@@ -105,10 +105,7 @@ func TestObserverKeepsPromotion(t *testing.T) {
 		w := w
 		t.Run(w.Name, func(t *testing.T) {
 			t.Parallel()
-			exp, err := Compile(w.Name+"-x.c", expandedSource(t, w, nil))
-			if err != nil {
-				t.Fatalf("compile expanded: %v", err)
-			}
+			exp := expandedProgram(t, w, nil)
 			for _, n := range []int{1, 2} {
 				memOps := func(opt OptLevel, o *Observer) int64 {
 					t.Helper()
@@ -170,7 +167,7 @@ func TestObsGuardedParity(t *testing.T) {
 		o := NewObserver(false)
 		o.IterSpans = true
 		opts.Recover, opts.Obs = &RecoverySpec{}, o
-		res, err := GuardedRun(native, tr, opts)
+		res, err := GuardedRunPrecompiled(native, tr, tr.Expanded, opts)
 		if err != nil {
 			t.Fatalf("guarded run (%+v): %v", opts, err)
 		}

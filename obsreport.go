@@ -119,9 +119,9 @@ func RenderHealthReport(w io.Writer, res *GuardedResult) error {
 
 // HotSiteFrames builds the frame resolver Folded needs from a compiled
 // program: site IDs map to a two-frame stack of enclosing function and
-// accessed expression with its source position. For guarded runs,
-// resolve against GuardedResult.Expanded — the profile's site IDs live
-// in the expanded program's space.
+// accessed expression with its source position. For runs of a
+// transformed program, resolve against TransformResult.Expanded — the
+// profile's site IDs live in the expanded program's space.
 func HotSiteFrames(p *Program) func(site int) []string {
 	return func(site int) []string {
 		as := p.Info.Accesses[site]

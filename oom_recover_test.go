@@ -5,7 +5,7 @@ package gdsx
 // entry snapshot — releasing the attempt's allocations, worker stacks
 // included — and re-executes sequentially with the quota intact. These
 // tests pin that behaviour at the interpreter level, through
-// GuardedRun, and across pooled-memory reuse.
+// GuardedRunPrecompiled, and across pooled-memory reuse.
 
 import (
 	"errors"
@@ -49,7 +49,7 @@ func TestWorkerOOMRecoveredByRegionRollback(t *testing.T) {
 		for _, lv := range optLevels {
 			t.Run(ps.name+"/"+lv.name, func(t *testing.T) {
 				opts := RunOptions{Threads: 4, Sched: ps.pol, Opt: lv.opt}
-				probe, err := RunSource("pfault.c", parallelFaultSrc, opts)
+				probe, err := runSource("pfault.c", parallelFaultSrc, opts)
 				if err != nil {
 					t.Fatalf("probe run: %v", err)
 				}
@@ -58,7 +58,7 @@ func TestWorkerOOMRecoveredByRegionRollback(t *testing.T) {
 				// the region no matter how iterations were scheduled.
 				opts.FailAlloc = probe.MemStats.Allocs - 5
 				opts.Recover = &RecoverySpec{}
-				res, err := RunSource("pfault.c", parallelFaultSrc, opts)
+				res, err := runSource("pfault.c", parallelFaultSrc, opts)
 				if err != nil {
 					t.Fatalf("recovered run: %v", err)
 				}
@@ -79,9 +79,10 @@ func TestWorkerOOMRecoveredByRegionRollback(t *testing.T) {
 }
 
 // TestGuardedRunWorkerOOMRecoversInPlace runs the same injection
-// through GuardedRun on a cleanly-profiled transform: the guarded run
-// must absorb the OOM with a region rollback (no whole-program
-// fallback, no violation) and still produce native output.
+// through GuardedRunPrecompiled on a cleanly-profiled transform: the
+// guarded run must absorb the OOM with a region rollback (no
+// whole-program fallback, no violation) and still produce native
+// output.
 func TestGuardedRunWorkerOOMRecoversInPlace(t *testing.T) {
 	native, err := Compile("pfault.c", parallelFaultSrc)
 	if err != nil {
@@ -95,11 +96,11 @@ func TestGuardedRunWorkerOOMRecoversInPlace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	probe, err := RunSource("pfault-exp.c", tr.Source, RunOptions{Threads: 4})
+	probe, err := tr.Expanded.Run(RunOptions{Threads: 4})
 	if err != nil {
 		t.Fatalf("probe run: %v", err)
 	}
-	res, err := GuardedRun(native, tr, RunOptions{
+	res, err := GuardedRunPrecompiled(native, tr, tr.Expanded, RunOptions{
 		Threads:   4,
 		Recover:   &RecoverySpec{},
 		FailAlloc: probe.MemStats.Allocs - 5,
@@ -127,13 +128,13 @@ func TestGuardedRunWorkerOOMRecoversInPlace(t *testing.T) {
 // the attempt's allocations, worker stacks included): the run must
 // succeed with native output on every scheduler.
 func TestMemLimitOOMRecoveredSequentially(t *testing.T) {
-	want, err := RunSource("oomleak.c", oomLeakSrc, RunOptions{ForceSequential: true})
+	want, err := runSource("oomleak.c", oomLeakSrc, RunOptions{ForceSequential: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, ps := range parityScheds {
 		t.Run(ps.name, func(t *testing.T) {
-			res, err := RunSource("oomleak.c", oomLeakSrc, RunOptions{
+			res, err := runSource("oomleak.c", oomLeakSrc, RunOptions{
 				Threads:   4,
 				Sched:     ps.pol,
 				StackSize: 64 << 10,
@@ -167,7 +168,7 @@ func TestMemLimitOOMRecoveredSequentially(t *testing.T) {
 // lifecycle under quota kills.
 func TestMemLimitOOMLeavesMemoryPoolable(t *testing.T) {
 	pool := NewMemory(8 << 20)
-	_, err := RunSource("oomleak.c", oomLeakSrc, RunOptions{
+	_, err := runSource("oomleak.c", oomLeakSrc, RunOptions{
 		Threads:   4,
 		StackSize: 64 << 10,
 		MemLimit:  500 << 10, // below even the sequential footprint
@@ -185,11 +186,11 @@ func TestMemLimitOOMLeavesMemoryPoolable(t *testing.T) {
 	}
 
 	pool.Reset()
-	want, err := RunSource("oomleak.c", oomLeakSrc, RunOptions{ForceSequential: true})
+	want, err := runSource("oomleak.c", oomLeakSrc, RunOptions{ForceSequential: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := RunSource("oomleak.c", oomLeakSrc, RunOptions{
+	res, err := runSource("oomleak.c", oomLeakSrc, RunOptions{
 		Threads:   4,
 		StackSize: 64 << 10,
 		Memory:    pool,

@@ -36,30 +36,36 @@ var optLevels = []struct {
 	opt  OptLevel
 }{{"compiled-noopt", OptNone}, {"compiled", OptDefault}}
 
-// expandedSource returns w's test-scale program expanded under eopts
-// (nil selects the default, optimized expansion).
-func expandedSource(t *testing.T, w *workloads.Workload, eopts *expand.Options) string {
+// nativeProgram compiles w's test-scale program.
+func nativeProgram(t *testing.T, w *workloads.Workload) *Program {
 	t.Helper()
 	prog, err := Compile(w.Name+".c", w.Source(workloads.Test))
 	if err != nil {
 		t.Fatalf("%s: compile: %v", w.Name, err)
 	}
-	tr, err := Transform(prog, TransformOptions{Expand: eopts})
+	return prog
+}
+
+// expandedProgram returns w's test-scale program expanded under eopts
+// (nil selects the default, optimized expansion).
+func expandedProgram(t *testing.T, w *workloads.Workload, eopts *expand.Options) *Program {
+	t.Helper()
+	tr, err := Transform(nativeProgram(t, w), TransformOptions{Expand: eopts})
 	if err != nil {
 		t.Fatalf("%s: transform: %v", w.Name, err)
 	}
-	return tr.Source
+	return tr.Expanded
 }
 
-// checkOptParity runs src under both optimization levels at each thread
-// count and requires identical output, exit code, counters and
+// checkOptParity runs prog under both optimization levels at each
+// thread count and requires identical output, exit code, counters and
 // allocator statistics.
-func checkOptParity(t *testing.T, w *workloads.Workload, vname, src string, threads []int) {
+func checkOptParity(t *testing.T, vname string, prog *Program, threads []int) {
 	t.Helper()
 	for _, n := range threads {
 		var res [2]Result
 		for i, lv := range optLevels {
-			r, err := RunSource(w.Name+".c", src, RunOptions{Threads: n, Opt: lv.opt})
+			r, err := prog.Run(RunOptions{Threads: n, Opt: lv.opt})
 			if err != nil {
 				t.Fatalf("%s/%s/N=%d: %v", vname, lv.name, n, err)
 			}
@@ -109,7 +115,7 @@ func TestOptEngineParity(t *testing.T) {
 		w := w
 		t.Run(w.Name, func(t *testing.T) {
 			t.Parallel()
-			checkOptParity(t, w, "opt", expandedSource(t, w, nil), parityThreads)
+			checkOptParity(t, "opt", expandedProgram(t, w, nil), parityThreads)
 		})
 	}
 }
@@ -126,9 +132,9 @@ func TestEngineCrossValidation(t *testing.T) {
 			// race, so its parallel runs are not deterministic under
 			// either configuration. Compare the native variant
 			// sequentially only.
-			checkOptParity(t, w, "native", w.Source(workloads.Test), []int{1})
+			checkOptParity(t, "native", nativeProgram(t, w), []int{1})
 			un := expand.Unoptimized()
-			checkOptParity(t, w, "unopt", expandedSource(t, w, &un), parityThreads)
+			checkOptParity(t, "unopt", expandedProgram(t, w, &un), parityThreads)
 		})
 	}
 }
@@ -166,7 +172,7 @@ func TestEngineTraceParity(t *testing.T) {
 	src := w.Source(workloads.Test)
 	var traces [2][]*interp.LoopTrace
 	for i, lv := range optLevels {
-		res, err := RunSource(w.Name+".c", src, RunOptions{Threads: 1, Trace: true, Opt: lv.opt})
+		res, err := runSource(w.Name+".c", src, RunOptions{Threads: 1, Trace: true, Opt: lv.opt})
 		if err != nil {
 			t.Fatalf("%s: %v", lv.name, err)
 		}
@@ -256,7 +262,7 @@ func TestOptEngineFaultParity(t *testing.T) {
 			for i, lv := range optLevels {
 				o := tc.opts
 				o.Opt = lv.opt
-				_, rerr := RunSource(tc.name+".c", tc.src, o)
+				_, rerr := runSource(tc.name+".c", tc.src, o)
 				if rerr == nil {
 					t.Fatalf("%s: expected a runtime error", lv.name)
 				}

@@ -173,7 +173,7 @@ func TestRandomProgramsSurviveExpansion(t *testing.T) {
 				t.Fatalf("transform: %v\n%s", err, src)
 			}
 			for _, n := range []int{1, 3, 8} {
-				got, err := RunSource("gen-x.c", tr.Source, RunOptions{Threads: n})
+				got, err := tr.Expanded.Run(RunOptions{Threads: n})
 				if err != nil {
 					t.Fatalf("N=%d: %v\n--- generated ---\n%s\n--- transformed ---\n%s",
 						n, err, src, tr.Source)

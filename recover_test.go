@@ -31,7 +31,7 @@ func TestRecoverMultiRegion(t *testing.T) {
 			t.Run(fmt.Sprintf("engine=%s/threads=%d", lv.name, nt), func(t *testing.T) {
 				var starts int // ParallelStart runs on the spawning thread only
 				hooks := &interp.Hooks{ParallelStart: func(loop, nthreads int) { starts++ }}
-				res, err := GuardedRun(native, tr, RunOptions{
+				res, err := GuardedRunPrecompiled(native, tr, tr.Expanded, RunOptions{
 					Threads: nt,
 					Opt:     lv.opt,
 					Recover: &RecoverySpec{},
@@ -92,7 +92,7 @@ func TestRecoverStuckRegionWatchdog(t *testing.T) {
 	want := sequentialOutput(t, native)
 	for _, lv := range optLevels {
 		t.Run("engine="+lv.name, func(t *testing.T) {
-			res, err := GuardedRun(native, tr, RunOptions{
+			res, err := GuardedRunPrecompiled(native, tr, tr.Expanded, RunOptions{
 				Threads:       4,
 				Opt:           lv.opt,
 				Recover:       &RecoverySpec{},
@@ -186,7 +186,7 @@ func demotionTransform(t *testing.T) (*Program, *TransformResult) {
 func TestRecoverDemotion(t *testing.T) {
 	native, tr := demotionTransform(t)
 	want := sequentialOutput(t, native)
-	res, err := GuardedRun(native, tr, RunOptions{
+	res, err := GuardedRunPrecompiled(native, tr, tr.Expanded, RunOptions{
 		Threads: 4,
 		Recover: &RecoverySpec{MaxStrikes: 2},
 	})
@@ -223,7 +223,7 @@ func TestRecoverDemotion(t *testing.T) {
 func TestRecoverCooldownRepromotion(t *testing.T) {
 	native, tr := demotionTransform(t)
 	want := sequentialOutput(t, native)
-	res, err := GuardedRun(native, tr, RunOptions{
+	res, err := GuardedRunPrecompiled(native, tr, tr.Expanded, RunOptions{
 		Threads: 4,
 		Recover: &RecoverySpec{MaxStrikes: 2, Cooldown: 2},
 	})
@@ -252,7 +252,7 @@ func TestGuardedRunKeepsUserHooks(t *testing.T) {
 	// ParallelStart fires on the spawning thread, so a plain counter is
 	// safe even while workers run; it proves the user saw the attempt.
 	var regionStarts int
-	res, err := GuardedRun(native, tr, RunOptions{Threads: 2, Hooks: &interp.Hooks{
+	res, err := GuardedRunPrecompiled(native, tr, tr.Expanded, RunOptions{Threads: 2, Hooks: &interp.Hooks{
 		ParallelStart: func(loop, nthreads int) { regionStarts++ },
 	}})
 	if err != nil {
@@ -269,7 +269,7 @@ func TestGuardedRunKeepsUserHooks(t *testing.T) {
 	// guarded run keeps them race-free and must leave them installed
 	// alongside the monitor's.
 	var loads, stores int64
-	res2, err := GuardedRun(native, tr, RunOptions{Threads: 1, Hooks: &interp.Hooks{
+	res2, err := GuardedRunPrecompiled(native, tr, tr.Expanded, RunOptions{Threads: 1, Hooks: &interp.Hooks{
 		Load:  func(site int, addr, size int64) { loads++ },
 		Store: func(site int, addr, size int64) { stores++ },
 	}})
@@ -288,7 +288,7 @@ func TestGuardedRunKeepsUserHooks(t *testing.T) {
 // allocations, so a fault-injection countdown can be chosen that the
 // parallel attempt never reaches but a whole-program sequential
 // fallback would — the skew that used to break the fallback before
-// GuardedRun disarmed the injection.
+// GuardedRunPrecompiled disarmed the injection.
 func failAllocSource(stride int) string {
 	return fmt.Sprintf(`
 int N = 96;
@@ -364,7 +364,7 @@ func checkFallbackDisarmsFailAlloc(t *testing.T, arena *Memory) *GuardedResult {
 	// Measure the expanded program's allocation count at the same thread
 	// count; the guarded attempt aborts at the region's safe point, so
 	// its allocations are this total minus the 200 post-loop ones.
-	exp, err := RunSource("failalloc-exp.c", tr.Source, RunOptions{Threads: 4})
+	exp, err := tr.Expanded.Run(RunOptions{Threads: 4})
 	if err != nil {
 		t.Fatalf("expanded run: %v", err)
 	}
@@ -378,7 +378,7 @@ func checkFallbackDisarmsFailAlloc(t *testing.T, arena *Memory) *GuardedResult {
 		t.Fatalf("countdown %d too large to fire in a sequential run; test is vacuous", n)
 	}
 
-	res, err := GuardedRun(native, tr, RunOptions{Threads: 4, FailAlloc: n, Memory: arena})
+	res, err := GuardedRunPrecompiled(native, tr, tr.Expanded, RunOptions{Threads: 4, FailAlloc: n, Memory: arena})
 	if err != nil {
 		t.Fatalf("guarded run with FailAlloc=%d: %v", n, err)
 	}

@@ -7,11 +7,16 @@ import (
 )
 
 // PrivateSites profiles every parallel loop of the program and returns
-// the union of its thread-private access sites per Definition 5.
+// the union of its thread-private access sites per Definition 5. Each
+// loop is profiled in a pooled arena, or in opts.Memory, which it
+// resets between loops as Transform does.
 func (p *Program) PrivateSites(opts RunOptions) ([]int, error) {
 	seen := map[int]bool{}
 	var out []int
-	for _, id := range p.ParallelLoops() {
+	for i, id := range p.ParallelLoops() {
+		if i > 0 && opts.Memory != nil {
+			opts.Memory.Reset() // the caller's arena holds the last loop's run
+		}
 		pr, err := p.ProfileLoop(id, opts)
 		if err != nil {
 			return nil, err

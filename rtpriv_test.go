@@ -1,9 +1,11 @@
 package gdsx
 
 import (
+	"reflect"
 	"testing"
 
 	"gdsx/internal/schedule"
+	"gdsx/internal/workloads"
 )
 
 // The zptr program under runtime privatization: the untransformed code
@@ -117,6 +119,38 @@ int main() {
 	}
 }
 
+// TestPrivateSitesCallerArena: PrivateSites profiles one loop after
+// another in a caller's arena, so it must Reset the arena between loops
+// as Transform does. Under a MemLimit a quarter above one run's high
+// water, the blocks the first loop's run left live would fail the
+// second loop's run.
+func TestPrivateSitesCallerArena(t *testing.T) {
+	w := workloads.ByName("h263-encoder")
+	prog, err := Compile(w.Name+".c", w.Source(workloads.Test))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := len(prog.ParallelLoops()); n < 2 {
+		t.Fatalf("%s has %d parallel loops; the check needs two", w.Name, n)
+	}
+	res, err := prog.Run(RunOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	limit := res.MemStats.HighWater * 5 / 4
+	want, err := prog.PrivateSites(RunOptions{MemLimit: limit})
+	if err != nil {
+		t.Fatalf("pooled arenas: %v", err)
+	}
+	got, err := prog.PrivateSites(RunOptions{MemLimit: limit, Memory: NewMemory(0)})
+	if err != nil {
+		t.Fatalf("caller arena: %v", err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("caller arena gives sites %v, pooled arenas %v", got, want)
+	}
+}
+
 // Traced execution produces loop traces, and the schedule simulator
 // derives a speedup > 1 from them for a parallelizable program.
 func TestTraceParallelAndSimulate(t *testing.T) {
@@ -128,11 +162,7 @@ func TestTraceParallelAndSimulate(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Transform: %v", err)
 	}
-	xprog, err := Compile("zptr-x.c", tr.Source)
-	if err != nil {
-		t.Fatalf("Compile transformed: %v", err)
-	}
-	traced, err := xprog.Run(RunOptions{Threads: 8, Trace: true})
+	traced, err := tr.Expanded.Run(RunOptions{Threads: 8, Trace: true})
 	if err != nil {
 		t.Fatalf("traced run: %v", err)
 	}

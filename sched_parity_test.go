@@ -65,8 +65,7 @@ func TestSchedulerOutputAndCounterParity(t *testing.T) {
 			for _, nt := range parityThreads {
 				counters := make([][interp.NumCats]int64, len(parityScheds))
 				for i, ps := range parityScheds {
-					res, err := RunSource(w.Name+"-x.c", tr.Source,
-						RunOptions{Threads: nt, Sched: ps.pol})
+					res, err := tr.Expanded.Run(RunOptions{Threads: nt, Sched: ps.pol})
 					if err != nil {
 						t.Fatalf("%s threads=%d: %v", ps.name, nt, err)
 					}
@@ -119,7 +118,7 @@ func TestSchedulerGuardVerdictParity(t *testing.T) {
 			}
 			for _, ps := range parityScheds {
 				for _, nt := range parityThreads {
-					res, err := GuardedRun(prog, tr, RunOptions{Threads: nt, Sched: ps.pol})
+					res, err := GuardedRunPrecompiled(prog, tr, tr.Expanded, RunOptions{Threads: nt, Sched: ps.pol})
 					if err != nil {
 						t.Fatalf("%s threads=%d: %v", ps.name, nt, err)
 					}
@@ -169,7 +168,7 @@ func TestSchedulerGuardVerdictParity(t *testing.T) {
 			}
 			for _, ps := range parityScheds {
 				for _, nt := range parityThreads {
-					res, err := GuardedRun(prog, tr, RunOptions{Threads: nt, Sched: ps.pol})
+					res, err := GuardedRunPrecompiled(prog, tr, tr.Expanded, RunOptions{Threads: nt, Sched: ps.pol})
 					if err != nil {
 						t.Fatalf("%s threads=%d: %v", ps.name, nt, err)
 					}
@@ -210,7 +209,7 @@ func TestSchedulerFaultMessageParity(t *testing.T) {
 	for _, nt := range []int{1, 2, 4} {
 		var wantPos string
 		for _, ps := range parityScheds {
-			_, err := RunSource("pfault.c", parallelFaultSrc,
+			_, err := runSource("pfault.c", parallelFaultSrc,
 				RunOptions{Threads: nt, Sched: ps.pol, FailAlloc: 40})
 			if err == nil {
 				t.Fatalf("%s threads=%d: expected an allocation fault", ps.name, nt)

@@ -41,8 +41,8 @@ type TransformOptions struct {
 	Graphs map[int]*ddg.Graph
 	// Guard emits the guard markers (__expand_malloc/__expand_note)
 	// that make the expanded program self-describing for the
-	// guarded-execution monitor (see GuardedRun). It overrides any
-	// Expand.GuardNotes setting.
+	// guarded-execution monitor (see GuardedRunPrecompiled). It
+	// overrides any Expand.GuardNotes setting.
 	Guard bool
 }
 
@@ -51,6 +51,11 @@ type TransformResult struct {
 	// Source is the transformed program, legal MiniC referencing
 	// __tid/__nthreads.
 	Source string
+	// Expanded is the compilation of Source, ready to run at any thread
+	// count. Runs never modify it, so concurrent runs may share it.
+	// Hot-site profiles of its runs name its access sites; resolve them
+	// against it (HotSiteFrames).
+	Expanded *Program
 	// Reports holds one expansion report per transformed loop.
 	Reports []*expand.Report
 	// Profiles holds the dependence profile per transformed loop.
@@ -62,8 +67,8 @@ type TransformResult struct {
 // Transform runs the full pipeline of the paper's Figure 7 on a fresh
 // compilation of the program's source: dependence profiling of each
 // candidate loop, Definition 5 classification, points-to analysis, and
-// data structure expansion. The returned source is ready to compile and
-// run with any thread count.
+// data structure expansion. The result carries the transformed source
+// and its compilation, Expanded, which runs at any thread count.
 //
 // The input Program is not modified; the pipeline works on a fresh
 // parse of its source.
@@ -152,22 +157,8 @@ func Transform(p *Program, opts TransformOptions) (*TransformResult, error) {
 
 	res.Source = work.Print()
 	// Verify the transformed program is still legal MiniC.
-	if _, err := Compile(p.File+" (expanded)", res.Source); err != nil {
+	if res.Expanded, err = Compile(p.File+" (expanded)", res.Source); err != nil {
 		return nil, fmt.Errorf("gdsx: transformed program does not recompile: %w\n--- transformed source ---\n%s", err, res.Source)
 	}
 	return res, nil
-}
-
-// TransformAndRun is a convenience wrapper: transform the program, then
-// compile and execute the result.
-func TransformAndRun(p *Program, topts TransformOptions, ropts RunOptions) (*TransformResult, Result, error) {
-	tr, err := Transform(p, topts)
-	if err != nil {
-		return nil, Result{}, err
-	}
-	out, err := RunSource(p.File+" (expanded)", tr.Source, ropts)
-	if err != nil {
-		return tr, Result{}, fmt.Errorf("gdsx: running transformed program: %w\n--- transformed source ---\n%s", err, tr.Source)
-	}
-	return tr, out, nil
 }

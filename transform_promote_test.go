@@ -311,7 +311,7 @@ int main() {
 	if !strings.Contains(tr.Source, "p.span = p.span") {
 		t.Fatalf("redundant self span store missing in unoptimized mode:\n%s", tr.Source)
 	}
-	got, err := RunSource("incdec-u.c", tr.Source, RunOptions{Threads: 4})
+	got, err := tr.Expanded.Run(RunOptions{Threads: 4})
 	if err != nil || got.Output != native.Output {
 		t.Fatalf("unoptimized run: %v, %q vs %q", err, got.Output, native.Output)
 	}

@@ -25,7 +25,7 @@ func checkTransformed(t *testing.T, file, src string, topts TransformOptions) *T
 		t.Fatalf("Transform: %v", err)
 	}
 	for _, n := range []int{1, 2, 4, 8} {
-		got, err := RunSource(file+"-x", tr.Source, RunOptions{Threads: n})
+		got, err := tr.Expanded.Run(RunOptions{Threads: n})
 		if err != nil {
 			t.Fatalf("transformed run N=%d: %v\n--- source ---\n%s", n, err, tr.Source)
 		}
@@ -373,12 +373,8 @@ func TestDoacrossOrderingStress(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	xprog, err := Compile("doacross-x.c", tr.Source)
-	if err != nil {
-		t.Fatal(err)
-	}
 	for i := 0; i < 50; i++ {
-		res, err := xprog.Run(RunOptions{Threads: 8})
+		res, err := tr.Expanded.Run(RunOptions{Threads: 8})
 		if err != nil {
 			t.Fatalf("run %d: %v", i, err)
 		}
