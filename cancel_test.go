@@ -162,13 +162,10 @@ func TestCancelMidParallelRegion(t *testing.T) {
 // TestCancelMidOrderedRegion cancels a DOACROSS region whose workers
 // are blocked in the ordered-section spin — the cancellation must
 // interrupt the spin (not just loop back-edges) with the optimization
-// pipeline off and on, under both ordered schedulers.
+// pipeline off and on, under static chunks and under self-scheduling
+// (the stealing policy's DOACROSS dispatch).
 func TestCancelMidOrderedRegion(t *testing.T) {
-	scheds := []struct {
-		name string
-		pol  SchedPolicy
-	}{{"static", SchedStatic}, {"dynamic", SchedDynamic}}
-	for _, ps := range scheds {
+	for _, ps := range parityScheds {
 		for _, lv := range optLevels {
 			t.Run(ps.name+"/"+lv.name, func(t *testing.T) {
 				base := runtime.NumGoroutine()

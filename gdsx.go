@@ -94,9 +94,9 @@ type RunOptions struct {
 	// of the re-execution (see GuardedRunPrecompiled).
 	FailAlloc int64
 	// Sched selects the parallel-loop scheduler: SchedStealing (the
-	// default work-stealing dispatch), SchedStatic or SchedDynamic.
-	// Every policy produces identical output, counters and guard
-	// verdicts; only load balance differs.
+	// default work-stealing dispatch) or SchedStatic. Both produce
+	// identical output, counters and guard verdicts; only load balance
+	// differs.
 	Sched SchedPolicy
 	// Hooks intercept execution (profiling, runtime privatization).
 	Hooks *interp.Hooks
@@ -276,12 +276,10 @@ const (
 	SchedStealing = interp.SchedStealing
 	// SchedStatic uses contiguous static chunks for every loop.
 	SchedStatic = interp.SchedStatic
-	// SchedDynamic self-schedules every loop from a shared counter.
-	SchedDynamic = interp.SchedDynamic
 )
 
-// SchedFromString parses a scheduler name ("stealing", "static",
-// "dynamic", or "" for the default).
+// SchedFromString parses a scheduler name ("stealing", "static", or ""
+// for the default).
 func SchedFromString(s string) (SchedPolicy, bool) { return interp.SchedFromString(s) }
 
 // OptLevel re-exports the engine's optimization selector.

@@ -209,10 +209,6 @@ func (m *Monitor) Hooks() *interp.Hooks {
 		ParallelStart:  m.parallelStart,
 		ParallelEnd:    m.parallelEnd,
 		ParallelCancel: m.parallelCancel,
-		// Guarded regions must not run under dynamic self-scheduling,
-		// whose placement makes detection timing-dependent; the machine
-		// substitutes work stealing and reports a structured warning.
-		Guarded: true,
 	}
 }
 

@@ -59,7 +59,6 @@ func ChainHooks(a, b *Hooks) *Hooks {
 	c := &Hooks{
 		RegionOnly:    a.regionOnly() && b.regionOnly(),
 		PrivateStacks: a.privateStacks() && b.privateStacks(),
-		Guarded:       a.Guarded || b.Guarded,
 	}
 	if a.Load != nil || b.Load != nil {
 		af, bf := a.Load, b.Load

@@ -104,12 +104,6 @@ type Hooks struct {
 	// copies for the next parallel region and merges them at region
 	// exit.
 	Commute func(base, span, esz, op int64)
-	// Guarded marks a chain that contains the guarded-execution access
-	// monitor. The scheduler consults it: dynamic self-scheduling has no
-	// placement guarantee, which makes must-detect verdicts
-	// placement-dependent, so guarded regions run such loops under work
-	// stealing instead (with a structured warning in Result.Warnings).
-	Guarded bool
 }
 
 // Access describes one observed memory access for Hooks.Observe.
@@ -164,10 +158,10 @@ type Options struct {
 	FailAlloc int64
 	// Sched selects the parallel-loop scheduler. The zero value is
 	// SchedStealing (work-stealing deques for DOALL, self-scheduling
-	// for DOACROSS); SchedStatic and SchedDynamic keep the fixed
-	// pre-stealing dispatches. All policies produce identical output,
-	// counters and guard semantics — only the iteration-to-thread
-	// assignment (and hence wall-clock balance) differs.
+	// for DOACROSS); SchedStatic gives every worker its contiguous
+	// static share. Both produce identical output, counters and guard
+	// semantics — only the iteration-to-thread assignment (and hence
+	// wall-clock balance) differs.
 	Sched SchedPolicy
 	// Opt selects how much of the engine's optimization pipeline
 	// applies (see opt.go). The zero value is the full pipeline;
@@ -240,10 +234,6 @@ type Result struct {
 	// Regions holds per-region recovery health records (sorted by loop
 	// ID) when the machine ran with Options.Recover.
 	Regions []RegionStats
-	// Warnings lists structured runtime adjustments the machine made
-	// (e.g. a guarded region's dynamic schedule overridden to work
-	// stealing), deduplicated, in first-occurrence order.
-	Warnings []string
 }
 
 // Machine executes one MiniC program.
@@ -265,9 +255,6 @@ type Machine struct {
 	ctrMu    sync.Mutex
 
 	traces []*LoopTrace
-
-	warnMu   sync.Mutex
-	warnings []string
 
 	// faults tracks the consumption counters of Options.FaultPlan; nil
 	// without a plan.
@@ -461,25 +448,8 @@ func (m *Machine) Run() (res Result, err error) {
 	if m.recovery != nil {
 		res.Regions = m.recovery.snapshot()
 	}
-	m.warnMu.Lock()
-	res.Warnings = append([]string(nil), m.warnings...)
-	m.warnMu.Unlock()
 	m.publishObs(res)
 	return res, nil
-}
-
-// warnf records a structured runtime warning, deduplicated by its
-// formatted text, for Result.Warnings.
-func (m *Machine) warnf(format string, args ...any) {
-	w := fmt.Sprintf(format, args...)
-	m.warnMu.Lock()
-	defer m.warnMu.Unlock()
-	for _, e := range m.warnings {
-		if e == w {
-			return
-		}
-	}
-	m.warnings = append(m.warnings, w)
 }
 
 // publishObs records the run's final whole-run aggregates in the

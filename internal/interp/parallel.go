@@ -150,18 +150,19 @@ type parFor struct {
 // N = Options.NumThreads simulated threads, one goroutine each.
 // Dispatch follows Options.Sched: under the default SchedStealing,
 // DOALL loops run on per-worker work-stealing deques (see sched.go)
-// and DOACROSS loops self-schedule from a shared counter; SchedStatic
-// restores the paper's Gomp schedules (§4.3) — static chunking for
-// DOALL, dynamic chunk-1 plus ordered-section tickets for DOACROSS —
-// and SchedDynamic self-schedules everything from a shared counter.
+// and DOACROSS loops self-schedule one iteration at a time from a
+// shared counter; under SchedStatic every worker runs its contiguous
+// static share, DOACROSS workers still entering their ordered sections
+// in iteration order. Either way a worker runs the iterations it claims
+// through runIters.
 //
 // Without Options.Recover the parallel attempt's failures propagate as
 // panics (Machine.Run unwraps them into errors); with it, a guard
 // abort, worker fault or watchdog timeout rolls the region back to its
 // entry snapshot and re-executes just this loop via seq, so the run
-// survives at O(region) cost. Sequential execution returns whatever
-// control outcome the loop produced (a sequential re-execution may
-// legally break or return, which a parallel run rejects).
+// survives at O(region) cost. Neither path breaks or returns out of
+// the loop: sema rejects a break or return whose innermost loop is
+// parallel.
 func (t *thread) runParallelFor(f *frame, p *parFor) ctrl {
 	x := p.x
 	rc := t.m.recovery
@@ -239,14 +240,13 @@ func (t *thread) runParallelFor(f *frame, p *parFor) ctrl {
 // a guard violation (raised by the monitor's safe-point hook),
 // regionFault for a contained worker fault or a watchdog timeout.
 func (t *thread) parallelAttempt(f *frame, p *parFor) {
-	x, body := p.x, p.body
+	x := p.x
 	if p.init != nil {
 		p.init(t, f)
 	}
 	lb := p.bounds(t, f)
 	iv := x.IndVar
 	ivAddr := t.symAddr(f, iv, x.Pos())
-	n := lb.n
 	nt := t.m.opts.NumThreads
 	if h := t.m.opts.Hooks; h != nil && h.ParallelStart != nil {
 		h.ParallelStart(x.ID, nt)
@@ -274,32 +274,16 @@ func (t *thread) parallelAttempt(f *frame, p *parFor) {
 		}
 	}()
 
-	ordered := x.Par == ast.DOACROSS && hasSyncStmts(x.Body)
-	var order *orderState
-	if ordered {
-		order = &orderState{}
-	}
-	var next atomic.Int64 // dynamic-schedule iteration counter
 	policy := t.m.opts.Sched
-	if policy == SchedDynamic && t.m.opts.Hooks != nil && t.m.opts.Hooks.Guarded {
-		// Dynamic self-scheduling has no placement guarantee: a
-		// slow-starting worker can let a sibling run every iteration,
-		// leaving a real cross-iteration dependence on one thread where
-		// the monitor honestly cannot see it. Guarded regions therefore
-		// run under work stealing (which pins each deque's first grain
-		// to its owner, so conflicting iterations are spread across
-		// threads) and the substitution is reported as a structured
-		// warning rather than silently weakening detection.
-		policy = SchedStealing
-		t.m.warnf("loop %d: dynamic schedule overridden to work stealing for guarded execution", x.ID)
-		if o := t.m.opts.Obs; o != nil {
-			o.Emit(obs.Event{Name: "sched-override", Ph: 'i', Loop: x.ID, Iter: -1,
-				Label: "dynamic->stealing"})
-		}
+	reg := &region{x: x, lb: lb, body: p.body}
+	if x.Par == ast.DOACROSS && hasSyncStmts(x.Body) {
+		reg.order = &orderState{}
 	}
-	var st *stealState
-	if x.Par == ast.DOALL && policy == SchedStealing {
-		st = newStealState(n, nt)
+	if h := t.m.opts.Hooks; h != nil {
+		reg.iterStart, reg.iterEnd = h.IterStart, h.IterEnd
+	}
+	if x.Par == ast.DOALL && policy != SchedStatic {
+		reg.steal = newStealState(lb.n, nt)
 	}
 
 	workers := make([]*thread, nt)
@@ -347,30 +331,14 @@ func (t *thread) parallelAttempt(f *frame, p *parFor) {
 					cancel.Store(true)
 				}
 			}()
-			wf := &frame{fn: f.fn, slots: make([]int64, len(f.slots))}
-			copy(wf.slots, f.slots)
-			// Private induction variable cell on the worker's stack.
-			pvAddr := w.alloca(iv.Type.Size(), x.Pos())
-			wf.slots[iv.Index] = pvAddr
-			switch {
-			case x.Par == ast.DOALL && st != nil:
-				w.runStealing(wf, x, lb, pvAddr, st, body)
-			case x.Par == ast.DOALL && policy == SchedStatic:
-				w.runStaticChunk(wf, x, lb, pvAddr, body)
-			case x.Par == ast.DOALL:
-				w.runDOALLDynamic(wf, x, lb, pvAddr, &next, body)
-			case policy == SchedStatic:
-				w.runOrderedStatic(wf, x, lb, pvAddr, order, body)
-			default:
-				w.runDynamic(wf, x, lb, pvAddr, &next, order, body)
-			}
+			w.runWorker(reg, f)
 		}(i)
 	}
 	wg.Wait()
 	if o := t.m.opts.Obs; o != nil {
 		var steals int64
-		if st != nil {
-			steals = st.steals.Load()
+		if reg.steal != nil {
+			steals = reg.steal.steals.Load()
 		}
 		o.Emit(obs.Event{Name: "sched", Ph: 'i', Loop: x.ID, Iter: -1,
 			Label: policy.String(), V1: steals, V2: int64(nt)})
@@ -413,7 +381,7 @@ func (t *thread) parallelAttempt(f *frame, p *parFor) {
 	}
 	// Sequential semantics after the loop: the induction variable holds
 	// its first value failing the condition.
-	t.storeTyped(ivAddr, iv.Type, truncInt(lb.start+n*lb.step, iv.Type))
+	t.storeTyped(ivAddr, iv.Type, truncInt(lb.start+lb.n*lb.step, iv.Type))
 }
 
 // workerFault records a panic caught in a parallel worker.
@@ -443,83 +411,84 @@ func firstFault(faults []*workerFault) *workerFault {
 	return first
 }
 
-// runStaticChunk executes a contiguous block of iterations (DOALL
-// static scheduling, as with Gomp's static chunking).
-func (w *thread) runStaticChunk(f *frame, x *ast.For, lb loopBounds, pvAddr int64, body cstmt) {
-	nt := int64(w.m.opts.NumThreads)
-	chunk := lb.n / nt
-	rem := lb.n % nt
-	lo := int64(w.tid)*chunk + min(int64(w.tid), rem)
-	hi := lo + chunk
-	if int64(w.tid) < rem {
-		hi++
+// region is the dispatch state one parallel attempt shares among its
+// workers.
+type region struct {
+	x    *ast.For
+	lb   loopBounds
+	body cstmt
+	// order is the ordered-section ticket of a DOACROSS loop with sync
+	// statements, nil otherwise.
+	order *orderState
+	// next is the DOACROSS self-scheduling counter: the lowest
+	// iteration no worker has claimed.
+	next atomic.Int64
+	// steal holds the deques of a DOALL loop under SchedStealing.
+	steal              *stealState
+	iterStart, iterEnd func(loopID int, iter int64, tid int)
+}
+
+// runWorker runs worker w's part of region r on a copy of the spawning
+// frame f. The schedule only decides which ranges of iterations w
+// claims; runIters runs each. Dispatch is charged one CatSync op per
+// DOALL worker here and one per DOACROSS iteration in runIters, under
+// every policy, so counters do not depend on the schedule.
+func (w *thread) runWorker(r *region, f *frame) {
+	x := r.x
+	wf := &frame{fn: f.fn, slots: make([]int64, len(f.slots))}
+	copy(wf.slots, f.slots)
+	// Private induction variable cell on the worker's stack.
+	wf.slots[x.IndVar.Index] = w.alloca(x.IndVar.Type.Size(), x.Pos())
+	w.order = r.order
+	if x.Par == ast.DOALL {
+		w.counters[CatSync]++
 	}
-	var iterStart, iterEnd func(loopID int, iter int64, tid int)
-	if h := w.m.opts.Hooks; h != nil {
-		iterStart, iterEnd = h.IterStart, h.IterEnd
-	}
-	w.counters[CatSync]++ // one dispatch per chunk
-	for k := lo; k < hi; k++ {
-		if w.cancel != nil && w.cancel.Load() {
-			return // a sibling worker faulted; stop at the safe point
-		}
-		w.curIter = k
-		w.storeTyped(pvAddr, x.IndVar.Type, value{I: lb.start + k*lb.step})
-		if iterStart != nil {
-			iterStart(x.ID, k, w.tid)
-		}
-		c := body(w, f)
-		if iterEnd != nil {
-			iterEnd(x.ID, k, w.tid)
-		}
-		if c == ctrlBreak {
-			rterrf(x.Pos(), "break out of a parallel loop")
-		}
-		if c == ctrlReturn {
-			rterrf(x.Pos(), "return out of a parallel loop")
+	switch {
+	case w.m.opts.Sched == SchedStatic:
+		lo, hi := staticShare(w.tid, w.m.opts.NumThreads, r.lb.n)
+		w.runIters(r, wf, lo, hi)
+	case r.steal != nil:
+		w.runStealing(r, wf)
+	default:
+		// DOACROSS self-scheduling with the paper's chunk size 1.
+		for {
+			k := r.next.Add(1) - 1
+			if k >= r.lb.n || !w.runIters(r, wf, k, k+1) {
+				return
+			}
 		}
 	}
 }
 
-// runDynamic executes iterations grabbed one at a time from a shared
-// counter (DOACROSS self-scheduling with the paper's chunk size 1),
-// entering ordered sections in iteration order via the ticket in
-// order. Dispatch is charged as one CatSync op per iteration, so
-// counters stay policy-independent.
-func (w *thread) runDynamic(f *frame, x *ast.For, lb loopBounds, pvAddr int64, next *atomic.Int64, order *orderState, body cstmt) {
-	w.order = order
-	defer func() { w.order = nil }()
-	var iterStart, iterEnd func(loopID int, iter int64, tid int)
-	if h := w.m.opts.Hooks; h != nil {
-		iterStart, iterEnd = h.IterStart, h.IterEnd
-	}
-	for {
-		k := next.Add(1) - 1
-		if k >= lb.n {
-			return
+// runIters runs iterations [lo, hi) of region r on worker w with frame
+// f. It returns false, at the safe point before an iteration, once a
+// sibling's fault has cancelled the region.
+func (w *thread) runIters(r *region, f *frame, lo, hi int64) bool {
+	x, lb, body := r.x, r.lb, r.body
+	pv := f.slots[x.IndVar.Index]
+	doacross := x.Par == ast.DOACROSS
+	for k := lo; k < hi; k++ {
+		if w.cancel.Load() {
+			return false
 		}
-		if w.cancel != nil && w.cancel.Load() {
-			return // a sibling worker faulted; stop at the safe point
+		if doacross {
+			w.counters[CatSync]++ // one dispatch per iteration
+			w.posted, w.inOrdered = false, false
 		}
-		w.counters[CatSync]++ // one dispatch per iteration
 		w.curIter = k
-		w.posted = false
-		w.inOrdered = false
-		w.storeTyped(pvAddr, x.IndVar.Type, value{I: lb.start + k*lb.step})
-		if iterStart != nil {
-			iterStart(x.ID, k, w.tid)
+		w.storeTyped(pv, x.IndVar.Type, value{I: lb.start + k*lb.step})
+		if r.iterStart != nil {
+			r.iterStart(x.ID, k, w.tid)
 		}
-		c := body(w, f)
-		if iterEnd != nil {
-			iterEnd(x.ID, k, w.tid)
+		body(w, f)
+		if r.iterEnd != nil {
+			r.iterEnd(x.ID, k, w.tid)
 		}
-		if c == ctrlBreak || c == ctrlReturn {
-			rterrf(x.Pos(), "break/return out of a parallel loop")
-		}
-		// If the ordered section was skipped on this path, post now
-		// so later iterations are not blocked forever.
-		if order != nil && !w.posted {
+		// An iteration that skipped its ordered section posts now, so
+		// later iterations are not blocked forever.
+		if r.order != nil && !w.posted {
 			w.syncPost()
 		}
 	}
+	return true
 }

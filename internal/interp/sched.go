@@ -5,7 +5,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"gdsx/internal/ast"
 	"gdsx/internal/obs"
 )
 
@@ -26,40 +25,45 @@ const (
 	// iteration order, exactly as under static scheduling. DOACROSS
 	// loops self-schedule one iteration at a time from a shared
 	// counter (the paper's chunk size 1), entering ordered sections in
-	// iteration order exactly as before.
+	// iteration order.
 	SchedStealing SchedPolicy = iota
-	// SchedStatic is the pre-stealing scheduler: contiguous static
-	// chunks for every parallel loop (with DOACROSS ordered sections
-	// still entered in iteration order via tickets).
+	// SchedStatic is the deterministic reference: every worker runs
+	// the contiguous static share of every parallel loop (DOACROSS
+	// ordered sections still entered in iteration order via tickets).
 	SchedStatic
-	// SchedDynamic self-schedules every parallel loop one iteration at
-	// a time from a shared counter (the pre-stealing DOACROSS
-	// scheduler, applied to DOALL too).
-	SchedDynamic
 )
 
 func (p SchedPolicy) String() string {
-	switch p {
-	case SchedStatic:
+	if p == SchedStatic {
 		return "static"
-	case SchedDynamic:
-		return "dynamic"
 	}
 	return "stealing"
 }
 
-// SchedFromString parses a scheduler name ("stealing", "static",
-// "dynamic", or "" for the default).
+// SchedFromString parses a scheduler name ("stealing", "static", or ""
+// for the default).
 func SchedFromString(s string) (SchedPolicy, bool) {
 	switch s {
 	case "", "stealing":
 		return SchedStealing, true
 	case "static":
 		return SchedStatic, true
-	case "dynamic":
-		return SchedDynamic, true
 	}
 	return SchedStealing, false
+}
+
+// staticShare returns worker tid's contiguous share [lo, hi) of n
+// iterations split over nt workers, the first n%nt shares holding one
+// iteration more: the SchedStatic schedule, and the initial deques of
+// the stealing one.
+func staticShare(tid, nt int, n int64) (lo, hi int64) {
+	t, chunk, rem := int64(tid), n/int64(nt), n%int64(nt)
+	lo = t*chunk + min(t, rem)
+	hi = lo + chunk
+	if t < rem {
+		hi++
+	}
+	return lo, hi
 }
 
 // stealDeque is one worker's range of unclaimed iterations. The owner
@@ -140,6 +144,9 @@ func (d *stealDeque) put(lo, hi int64) {
 // stealState is the shared state of one work-stealing DOALL region.
 type stealState struct {
 	deques []stealDeque
+	// grain is how many iterations an owner claims from its own deque
+	// at a time.
+	grain int64
 	// remaining counts unexecuted iterations; workers retire after it
 	// reaches zero (claimed-but-unexecuted work cannot be stolen, so an
 	// idle worker with no steal target left just waits for the field).
@@ -162,41 +169,28 @@ const stealGrainDiv = 8
 // everything), which keeps cross-thread effects — the guard monitor's
 // whole subject — reproducible across hosts.
 func newStealState(n int64, nt int) *stealState {
-	st := &stealState{deques: make([]stealDeque, nt)}
+	st := &stealState{deques: make([]stealDeque, nt),
+		grain: max(1, n/int64(nt)/stealGrainDiv)}
 	st.remaining.Store(n)
-	chunk := n / int64(nt)
-	rem := n % int64(nt)
-	grain := max(1, chunk/stealGrainDiv)
-	for t := int64(0); t < int64(nt); t++ {
-		lo := t*chunk + min(t, rem)
-		hi := lo + chunk
-		if t < rem {
-			hi++
-		}
+	for t := range st.deques {
 		d := &st.deques[t]
-		d.lo, d.hi = lo, hi
-		d.pin = min(lo+grain, hi)
+		d.lo, d.hi = staticShare(t, nt, n)
+		d.pin = min(d.lo+st.grain, d.hi)
 	}
 	return st
 }
 
-// runStealing executes a DOALL loop under the work-stealing scheduler.
-// Tick parity: dispatch is charged as one CatSync op per worker, the
-// same accounting as static chunking, so counters are bit-identical
-// across scheduling policies.
-func (w *thread) runStealing(f *frame, x *ast.For, lb loopBounds, pvAddr int64, st *stealState, body cstmt) {
-	var iterStart, iterEnd func(loopID int, iter int64, tid int)
-	if h := w.m.opts.Hooks; h != nil {
-		iterStart, iterEnd = h.IterStart, h.IterEnd
-	}
-	w.counters[CatSync]++ // one dispatch per worker, as with static chunks
+// runStealing runs worker w's part of a DOALL region under the
+// work-stealing scheduler: it claims a grain at a time from its own
+// deque and, once that is empty, steals from the others.
+func (w *thread) runStealing(r *region, f *frame) {
+	st := r.steal
 	nt := len(st.deques)
 	own := &st.deques[w.tid]
-	grain := max(1, (lb.n/int64(nt))/stealGrainDiv)
 	last := int64(-1) // last executed iteration: the steal floor
 	o := w.m.opts.Obs
 	for {
-		lo, hi, ok := own.take(grain)
+		lo, hi, ok := own.take(st.grain)
 		for !ok {
 			// Own deque empty: try to steal. Pick the victim whose
 			// stolen range would start lowest among those above the
@@ -205,7 +199,7 @@ func (w *thread) runStealing(f *frame, x *ast.For, lb loopBounds, pvAddr int64, 
 			// eligible work the remaining iterations are claimed and
 			// running elsewhere (or below the floor), so wait for the
 			// region to drain (or for a cancellation).
-			if w.cancel != nil && w.cancel.Load() {
+			if w.cancel.Load() {
 				return
 			}
 			if w.m.stop.Load() {
@@ -227,12 +221,12 @@ func (w *thread) runStealing(f *frame, x *ast.For, lb loopBounds, pvAddr int64, 
 					if o != nil {
 						o.Counter("sched.steals").Inc()
 						o.Emit(obs.Event{Name: "steal", Ph: 'i', Tid: w.tid,
-							Loop: x.ID, Iter: slo, Label: "doall", V1: int64(best), V2: shi - slo})
+							Loop: r.x.ID, Iter: slo, Label: "doall", V1: int64(best), V2: shi - slo})
 					}
 					own.put(slo, shi)
 				}
 			}
-			if lo, hi, ok = own.take(grain); !ok {
+			if lo, hi, ok = own.take(st.grain); !ok {
 				if best < 0 {
 					if st.remaining.Load() <= 0 {
 						return
@@ -241,109 +235,10 @@ func (w *thread) runStealing(f *frame, x *ast.For, lb loopBounds, pvAddr int64, 
 				}
 			}
 		}
-		for k := lo; k < hi; k++ {
-			if w.cancel != nil && w.cancel.Load() {
-				return // a sibling worker faulted; stop at the safe point
-			}
-			w.curIter = k
-			last = k
-			w.storeTyped(pvAddr, x.IndVar.Type, value{I: lb.start + k*lb.step})
-			if iterStart != nil {
-				iterStart(x.ID, k, w.tid)
-			}
-			c := body(w, f)
-			if iterEnd != nil {
-				iterEnd(x.ID, k, w.tid)
-			}
-			st.remaining.Add(-1)
-			if c == ctrlBreak {
-				rterrf(x.Pos(), "break out of a parallel loop")
-			}
-			if c == ctrlReturn {
-				rterrf(x.Pos(), "return out of a parallel loop")
-			}
-		}
-	}
-}
-
-// runDOALLDynamic executes a DOALL loop by self-scheduling one
-// iteration at a time from a shared counter (SchedDynamic). Dispatch
-// is charged as one CatSync op per worker — DOALL accounting is
-// policy-independent.
-func (w *thread) runDOALLDynamic(f *frame, x *ast.For, lb loopBounds, pvAddr int64, next *atomic.Int64, body cstmt) {
-	var iterStart, iterEnd func(loopID int, iter int64, tid int)
-	if h := w.m.opts.Hooks; h != nil {
-		iterStart, iterEnd = h.IterStart, h.IterEnd
-	}
-	w.counters[CatSync]++
-	for {
-		k := next.Add(1) - 1
-		if k >= lb.n {
+		if !w.runIters(r, f, lo, hi) {
 			return
 		}
-		if w.cancel != nil && w.cancel.Load() {
-			return
-		}
-		w.curIter = k
-		w.storeTyped(pvAddr, x.IndVar.Type, value{I: lb.start + k*lb.step})
-		if iterStart != nil {
-			iterStart(x.ID, k, w.tid)
-		}
-		c := body(w, f)
-		if iterEnd != nil {
-			iterEnd(x.ID, k, w.tid)
-		}
-		if c == ctrlBreak {
-			rterrf(x.Pos(), "break out of a parallel loop")
-		}
-		if c == ctrlReturn {
-			rterrf(x.Pos(), "return out of a parallel loop")
-		}
-	}
-}
-
-// runOrderedStatic executes a DOACROSS loop on contiguous static
-// chunks (SchedStatic). Ordered sections still run in iteration order
-// via the shared ticket, which pipelines the chunks back-to-front; it
-// is slower than self-scheduling but preserves sequential semantics
-// exactly. Dispatch is charged per iteration — DOACROSS accounting is
-// policy-independent.
-func (w *thread) runOrderedStatic(f *frame, x *ast.For, lb loopBounds, pvAddr int64, order *orderState, body cstmt) {
-	w.order = order
-	defer func() { w.order = nil }()
-	nt := int64(w.m.opts.NumThreads)
-	chunk := lb.n / nt
-	rem := lb.n % nt
-	lo := int64(w.tid)*chunk + min(int64(w.tid), rem)
-	hi := lo + chunk
-	if int64(w.tid) < rem {
-		hi++
-	}
-	var iterStart, iterEnd func(loopID int, iter int64, tid int)
-	if h := w.m.opts.Hooks; h != nil {
-		iterStart, iterEnd = h.IterStart, h.IterEnd
-	}
-	for k := lo; k < hi; k++ {
-		if w.cancel != nil && w.cancel.Load() {
-			return
-		}
-		w.counters[CatSync]++ // one dispatch per iteration
-		w.curIter = k
-		w.posted = false
-		w.inOrdered = false
-		w.storeTyped(pvAddr, x.IndVar.Type, value{I: lb.start + k*lb.step})
-		if iterStart != nil {
-			iterStart(x.ID, k, w.tid)
-		}
-		c := body(w, f)
-		if iterEnd != nil {
-			iterEnd(x.ID, k, w.tid)
-		}
-		if c == ctrlBreak || c == ctrlReturn {
-			rterrf(x.Pos(), "break/return out of a parallel loop")
-		}
-		if order != nil && !w.posted {
-			w.syncPost()
-		}
+		st.remaining.Add(lo - hi)
+		last = hi - 1
 	}
 }

@@ -132,9 +132,10 @@ func (r *Runtime) invalidate(base int64) {
 	}
 }
 
-// redirect is the per-access monitor. It runs on the accessing thread;
-// distinct tids touch distinct map entries, so only copy creation takes
-// the lock.
+// redirect is the per-access monitor. It runs on the accessing thread.
+// Its own thread's copy map is shared with invalidate, which any worker
+// freeing a block runs over every thread's map, so the map probe, the
+// copy-in and the stats update all hold the lock.
 func (r *Runtime) redirect(site int, addr, size int64, tid int) (int64, int64) {
 	if !r.active || !r.private[site] {
 		return addr, 0
@@ -149,6 +150,8 @@ func (r *Runtime) redirect(site int, addr, size int64, tid int) (int64, int64) {
 	}
 	cost := r.model.AccessBase +
 		r.model.LookupPerLevel*int64(bits.Len(uint(mem.Stats().Blocks)))
+	r.mu.Lock()
+	defer r.mu.Unlock()
 	copies := r.copies[tid]
 	copyBase, ok := copies[blk.Base]
 	if !ok {
@@ -163,13 +166,9 @@ func (r *Runtime) redirect(site int, addr, size int64, tid int) (int64, int64) {
 		copies[blk.Base] = nb
 		copyBase = nb
 		cost += r.model.CopySetup + r.model.CopyPerWord*(blk.Size+7)/8
-		r.mu.Lock()
 		r.stats.Copies++
 		r.stats.CopiedBytes += blk.Size
-		r.mu.Unlock()
 	}
-	r.mu.Lock()
 	r.stats.Monitored++
-	r.mu.Unlock()
 	return copyBase + (addr - blk.Base), cost
 }

@@ -1,6 +1,7 @@
 package rtpriv
 
 import (
+	"sync"
 	"testing"
 
 	"gdsx/internal/interp"
@@ -106,6 +107,46 @@ func TestInvalidateOnFree(t *testing.T) {
 	a1, _ := h.Redirect(5, base2, 4, 0)
 	if v := m.Mem().Load(a1, 4); v != 0 {
 		t.Fatalf("stale private copy survived free: %d", v)
+	}
+}
+
+// TestRedirectConcurrentWithFree: one worker's first touches insert
+// into its copy map while a sibling frees the same shared blocks, and
+// invalidate walks every thread's map. The maps must only be touched
+// under the monitor's lock (run under -race).
+func TestRedirectConcurrentWithFree(t *testing.T) {
+	rt := New([]int{5}, DefaultModel())
+	m := machineFor(t)
+	rt.Bind(m)
+	const blocks = 256
+	bases := make([]int64, blocks)
+	for i := range bases {
+		b, err := m.Mem().Alloc(64, 1, "")
+		if err != nil {
+			t.Fatal(err)
+		}
+		bases[i] = b
+	}
+	h := rt.Hooks()
+	h.ParallelStart(1, 2)
+	var wg sync.WaitGroup
+	wg.Add(2)
+	go func() {
+		defer wg.Done()
+		for _, b := range bases {
+			h.Redirect(5, b, 8, 0)
+		}
+	}()
+	go func() {
+		defer wg.Done()
+		for _, b := range bases {
+			h.Free(b)
+		}
+	}()
+	wg.Wait()
+	h.ParallelEnd(1)
+	if st := rt.Stats(); st.Monitored != blocks || st.Copies != blocks {
+		t.Fatalf("stats = %+v, want %d monitored accesses and copies", st, blocks)
 	}
 }
 

@@ -359,6 +359,9 @@ func (c *checker) stmt(s ast.Stmt) {
 	case *ast.Break, *ast.Continue:
 		if len(c.loopStack) == 0 {
 			c.errf(x.Pos(), "break/continue outside a loop")
+		} else if _, brk := x.(*ast.Break); brk &&
+			c.info.Loops[c.loopStack[len(c.loopStack)-1]].Par != ast.Sequential {
+			c.errf(x.Pos(), "break out of a parallel loop")
 		}
 	case *ast.SyncWait, *ast.SyncPost:
 		// Inserted by passes; nothing to check.

@@ -142,6 +142,7 @@ func TestErrors(t *testing.T) {
 		{"bad field", "struct s { int a; }; int main() { struct s v; v.b = 1; return 0; }", "no field b"},
 		{"assign to literal", "int main() { 3 = 4; return 0; }", "not assignable"},
 		{"return in parallel", "int main() { int i; parallel for (i=0;i<2;i++) { return 1; } return 0; }", "return inside a parallel loop"},
+		{"break in parallel", "int main() { int i; parallel for (i=0;i<8;i++) { if (i == 3) break; } return 0; }", "break out of a parallel loop"},
 		{"bad indvar", "double d; int main() { parallel for (d = 0; d < 2; d += 1) { } return 0; }", "induction variable"},
 		{"no main", "int f() { return 0; }", "no main"},
 		{"arg count", "int f(int a) { return a; } int main() { return f(1, 2); }", "expects 1 arguments"},

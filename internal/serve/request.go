@@ -61,7 +61,7 @@ type Options struct {
 	// Engine selects "compiled" (default) or "compiled-noopt";
 	// ParseRequest resolves it to opt.
 	Engine string `json:"engine,omitempty"`
-	// Sched selects "stealing" (default), "static" or "dynamic".
+	// Sched selects "stealing" (default) or "static".
 	Sched string `json:"sched,omitempty"`
 	// Guard runs the expanded program under the guarded-execution
 	// monitor with region recovery (slower, but survives inputs the

@@ -159,11 +159,13 @@ func TestRunEndpointBasics(t *testing.T) {
 	}
 }
 
+// TestEnginesAndSchedulersAgree: every engine and scheduler answers
+// alike, and the retired "dynamic" scheduler is a bad request.
 func TestEnginesAndSchedulersAgree(t *testing.T) {
 	_, ts := testServer(t, Config{})
 	var want string
 	for _, engine := range []string{"compiled", "compiled-noopt"} {
-		for _, sched := range []string{"stealing", "static", "dynamic"} {
+		for _, sched := range []string{"stealing", "static"} {
 			resp, body := postRun(t, ts.URL, Request{
 				Source:  parSrc,
 				Options: Options{Engine: engine, Sched: sched},
@@ -175,6 +177,13 @@ func TestEnginesAndSchedulersAgree(t *testing.T) {
 				t.Fatalf("%s/%s output %q, want %q", engine, sched, r.Output, want)
 			}
 		}
+	}
+	resp, body := postRun(t, ts.URL, Request{Source: parSrc, Options: Options{Sched: "dynamic"}})
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("sched dynamic: status %d, want 400: %s", resp.StatusCode, body)
+	}
+	if e := decodeErr(t, body); e.Code != CodeBadReq {
+		t.Fatalf("sched dynamic: code %s, want %s", e.Code, CodeBadReq)
 	}
 }
 

@@ -432,10 +432,6 @@ func (s *Server) execute(ctx context.Context, req *Request, level int, rq *reqSt
 		MaxOps:   o.MaxOps,
 		Ctx:      rctx,
 		Recover:  &gdsx.RecoverySpec{},
-		// The watchdog composes with the context deadline: the deadline
-		// cancels the whole run cooperatively, while a region stuck past
-		// its share is rolled back and demoted without failing the run.
-		RegionTimeout: timeout,
 	}
 	if level >= ShedSequential {
 		ropts.Threads = 1

@@ -43,7 +43,7 @@ int main() {
 // fault lands inside the region deterministically) with region
 // recovery enabled: the region must roll back once and re-execute
 // sequentially, producing native output — with the optimization
-// pipeline off and on, under all three schedulers.
+// pipeline off and on, under both schedulers.
 func TestWorkerOOMRecoveredByRegionRollback(t *testing.T) {
 	for _, ps := range parityScheds {
 		for _, lv := range optLevels {

@@ -1,24 +1,19 @@
 package gdsx
 
-// Scheduler parity: the three parallel-loop schedulers (static
-// chunking, dynamic self-scheduling, work stealing) must agree on
-// everything the program can observe — output bytes, work/sync
-// instruction accounting, fault positions, and whether a guarded run
-// is clean or violating. Only load balance (and therefore CatWait spin
-// counts and steal counts) may differ. The guard comparison is
-// deliberately status-only: a violation report's rule labels and
-// iteration attribution depend on the iteration-to-thread mapping the
-// scheduler chose (the copy mapping follows the schedule), so reports
-// are schedule-dependent even though detection is not. Dynamic
-// self-scheduling has no placement guarantee of its own — a
-// slow-starting worker can hand every iteration to its sibling and
-// honestly hide a cross-thread dependence — so guarded regions
-// override it to work stealing (with a Result.Warnings entry), and
-// the must-detect assertion holds for all three policies (see
-// TestSchedulerGuardVerdictParity).
+// Scheduler parity: the two parallel-loop schedulers (static
+// chunking, and work stealing with DOACROSS self-scheduling) must
+// agree on everything the program can observe — output bytes,
+// work/sync instruction accounting, fault positions, and whether a
+// guarded run is clean or violating. Only load balance (and therefore
+// CatWait spin counts and steal counts) may differ. The guard
+// comparison is deliberately status-only: a violation report's rule
+// labels and iteration attribution depend on the iteration-to-thread
+// mapping the scheduler chose (the copy mapping follows the schedule),
+// so reports are schedule-dependent even though detection is not.
 
 import (
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -31,7 +26,6 @@ var parityScheds = []struct {
 	pol  SchedPolicy
 }{
 	{"static", SchedStatic},
-	{"dynamic", SchedDynamic},
 	{"stealing", SchedStealing},
 }
 
@@ -42,9 +36,8 @@ var parityThreads = []int{1, 2, 4, 8}
 // must match the native sequential run byte for byte, CatWork must be
 // identical across schedulers (the same iterations execute the same
 // ops, wherever they land), and CatSync must be identical between
-// static and stealing (stealing charges one dispatch per worker
-// exactly like static; self-scheduling legitimately charges per chunk
-// grab instead).
+// static and stealing (one dispatch per DOALL worker and per DOACROSS
+// iteration under both).
 func TestSchedulerOutputAndCounterParity(t *testing.T) {
 	for _, w := range workloads.All() {
 		w := w
@@ -81,7 +74,7 @@ func TestSchedulerOutputAndCounterParity(t *testing.T) {
 							counters[0][interp.CatWork], parityScheds[0].name)
 					}
 				}
-				static, stealing := counters[0], counters[2]
+				static, stealing := counters[0], counters[1]
 				if static[interp.CatSync] != stealing[interp.CatSync] {
 					t.Errorf("threads=%d: CatSync %d under stealing, %d under static",
 						nt, stealing[interp.CatSync], static[interp.CatSync])
@@ -129,21 +122,6 @@ func TestSchedulerGuardVerdictParity(t *testing.T) {
 					if res.Result.Output != want.Output {
 						t.Fatalf("%s threads=%d: guarded output diverges", ps.name, nt)
 					}
-					// Guarded regions refuse dynamic self-scheduling (no
-					// placement guarantee) and run under work stealing
-					// instead; the adjustment must be reported, not silent.
-					if ps.pol == SchedDynamic && nt >= 2 {
-						found := false
-						for _, w := range res.Result.Warnings {
-							if strings.Contains(w, "dynamic schedule overridden") {
-								found = true
-							}
-						}
-						if !found {
-							t.Errorf("threads=%d: dynamic guarded run carries no override warning: %v",
-								nt, res.Result.Warnings)
-						}
-					}
 				}
 			}
 		})
@@ -180,14 +158,7 @@ func TestSchedulerGuardVerdictParity(t *testing.T) {
 					// workers, and stealing pins each deque's first grain
 					// to its owner, so under both the conflicting
 					// iterations are guaranteed to land on different
-					// threads and the monitor must fire. Dynamic
-					// self-scheduling has no such guarantee, so guarded
-					// regions override it to work stealing — the verdict
-					// must match, and the run must say it adjusted.
-					// (On fallback res.Result is the sequential
-					// re-execution, which carries no warnings; the
-					// override-warning assertion lives in the clean loop
-					// above, where the guarded run's result survives.)
+					// threads and the monitor must fire.
 					if nt >= 2 && (!res.FellBack || res.Violation == nil) {
 						t.Fatalf("%s threads=%d: scheduler hid the dependence violation",
 							ps.name, nt)
@@ -230,6 +201,119 @@ func TestSchedulerFaultMessageParity(t *testing.T) {
 			} else if pos != wantPos {
 				t.Errorf("threads=%d: fault position %s under %s, %s under %s",
 					nt, pos, ps.name, wantPos, parityScheds[0].name)
+			}
+		}
+	}
+}
+
+// iterOrderDOALLSrc is a DOALL loop whose later iterations cost more,
+// so the workers holding the cheap early shares run out of work first
+// and steal from the others.
+const iterOrderDOALLSrc = `
+int N = 64;
+
+int main() {
+	long *out = (long*)malloc(N * 8);
+	int i;
+	parallel for (i = 0; i < N; i++) {
+		long acc = 0;
+		long j;
+		for (j = 0; j < i * 200; j++) { acc = acc + j; }
+		out[i] = acc;
+	}
+	print_long(out[N - 1]);
+	print_char('\n');
+	return 0;
+}
+`
+
+// iterOrderDOACROSSSrc is a DOACROSS loop with an ordered section.
+const iterOrderDOACROSSSrc = `
+int N = 64;
+
+int main() {
+	long s = 0;
+	int i;
+	parallel doacross for (i = 0; i < N; i++) {
+		long acc = 0;
+		long j;
+		for (j = 0; j < i * 50; j++) { acc = acc + j; }
+		__sync_wait();
+		s = s * 3 + acc;
+		__sync_post();
+	}
+	print_long(s);
+	print_char('\n');
+	return 0;
+}
+`
+
+// TestSchedulerIterationOrder pins the interpreter's dispatch contract
+// under both schedulers: every iteration runs exactly once, each
+// worker's iterations strictly increase (the steal floor keeps this
+// true of stolen ranges; the guard monitor's replay relies on it), and
+// under SchedStatic each worker runs exactly its contiguous share.
+func TestSchedulerIterationOrder(t *testing.T) {
+	const n = 64
+	for _, lp := range []struct{ name, src string }{
+		{"doall", iterOrderDOALLSrc},
+		{"doacross", iterOrderDOACROSSSrc},
+	} {
+		prog, err := Compile(lp.name+".c", lp.src)
+		if err != nil {
+			t.Fatalf("compile %s: %v", lp.name, err)
+		}
+		want, err := prog.Run(RunOptions{ForceSequential: true})
+		if err != nil {
+			t.Fatalf("sequential %s: %v", lp.name, err)
+		}
+		for _, ps := range parityScheds {
+			for _, nt := range []int{2, 4, 8} {
+				t.Run(fmt.Sprintf("%s/%s/%d", lp.name, ps.name, nt), func(t *testing.T) {
+					// Each worker appends only to its own slice, and Run
+					// joins the workers before returning.
+					ran := make([][]int64, nt)
+					hooks := &interp.Hooks{IterStart: func(_ int, iter int64, tid int) {
+						ran[tid] = append(ran[tid], iter)
+					}}
+					res, err := prog.Run(RunOptions{Threads: nt, Sched: ps.pol, Hooks: hooks})
+					if err != nil {
+						t.Fatal(err)
+					}
+					if res.Output != want.Output {
+						t.Fatalf("output %q, sequential %q", res.Output, want.Output)
+					}
+					count := make([]int, n)
+					moved := 0
+					for tid, its := range ran {
+						chunk, rem := int64(n/nt), int64(n%nt)
+						lo := int64(tid)*chunk + min(int64(tid), rem)
+						hi := lo + chunk
+						if int64(tid) < rem {
+							hi++
+						}
+						inShare := 0
+						for i, k := range its {
+							count[k]++
+							if i > 0 && k <= its[i-1] {
+								t.Errorf("worker %d ran iteration %d after %d: %v", tid, k, its[i-1], its)
+							}
+							if k >= lo && k < hi {
+								inShare++
+							}
+						}
+						moved += len(its) - inShare
+						if ps.pol == SchedStatic && (len(its) != inShare || int64(inShare) != hi-lo) {
+							t.Errorf("static worker %d ran %v, want its share [%d, %d)", tid, its, lo, hi)
+						}
+					}
+					for k, c := range count {
+						if c != 1 {
+							t.Errorf("iteration %d ran %d times", k, c)
+						}
+					}
+					t.Logf("%d of %d iterations ran outside their static share", moved, n)
+				})
 			}
 		}
 	}
