@@ -96,8 +96,8 @@ func flipLayout(l Layout) Layout {
 // speculation ladder. Each attempt transforms the program with topts,
 // guard markers and commutative privatization forced on (the ladder is
 // built on both), and runs it guarded with region recovery (ropts;
-// Recover defaults to &RecoverySpec{}); tier sampling (ropts.Sample)
-// and chaos injection (ropts.FaultPlan) apply per attempt. When one
+// Recover defaults to &RecoverySpec{}); chaos injection
+// (ropts.FaultPlan) applies per attempt. When one
 // attempt's violation reports show the same (loop, rule, site-pair)
 // striking strikeThreshold times, AdaptiveRun re-expands: first flipping
 // the copy layout (bonded <-> interleaved), then halving the copy count

@@ -114,9 +114,9 @@ func stable(r Result) Result {
 // guardedSummary is what the parity tests compare of a guarded run
 // (Result.Regions carries GuardedResult.Regions).
 type guardedSummary struct {
-	Result                            Result
-	Violations, Recovered, Suspicions int
-	FellBack                          bool
+	Result                Result
+	Violations, Recovered int
+	FellBack              bool
 }
 
 // transformSummary is what the parity tests compare of a transform.
@@ -150,7 +150,7 @@ var poolSteps = []struct {
 			return nil, err
 		}
 		return guardedSummary{Result: stable(g.Result), Violations: len(g.Violations),
-			Recovered: g.Recovered, Suspicions: g.Suspicions, FellBack: g.FellBack}, nil
+			Recovered: g.Recovered, FellBack: g.FellBack}, nil
 	}},
 	{"profile", false, func(b *poolBuilt, a arenaSource) (any, error) {
 		prs := map[int]*profile.Result{}

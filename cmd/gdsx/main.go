@@ -18,13 +18,10 @@
 // Adding -recover upgrades the fallback to region-scoped rollback: the
 // violating (or faulting, or -region-timeout-exceeding) region alone
 // re-executes sequentially and the rest of the run stays parallel.
-// Adding -sample-k K engages tiered guard sampling: after a clean
-// streak the monitor checks only every k-th iteration, escalating back
-// to full guarding on any suspicious access. -adapt runs the whole
-// adaptive ladder (gdsx.AdaptiveRun): sampling, recovery, and — on
-// repeated violations at one site pair — runtime re-expansion with a
-// flipped copy layout or a halved copy count; with -metrics, the
-// ladder's per-region tiers, strikes and final layout land in the
+// -adapt runs the whole adaptive ladder (gdsx.AdaptiveRun): recovery
+// and — on repeated violations at one site pair — runtime re-expansion
+// with a flipped copy layout or a halved copy count; with -metrics, the
+// ladder's strikes, re-expansions and final layout land in the
 // registry output.
 package main
 
@@ -38,7 +35,6 @@ import (
 	"gdsx"
 	"gdsx/internal/ddg"
 	"gdsx/internal/expand"
-	"gdsx/internal/obs"
 )
 
 func main() {
@@ -67,15 +63,13 @@ func main() {
 
 func usage() {
 	fmt.Fprintln(os.Stderr, `usage:
-  gdsx run      [-threads N] [-seq] [-engine compiled|compiled-noopt]
-                [-opt-profile sites.json] file.c
+  gdsx run      [-threads N] [-seq] [-engine compiled|compiled-noopt] file.c
   gdsx profile  [-loop ID] [-json] file.c
   gdsx expand   [-unopt] [-interleaved|-adaptive] file.c
   gdsx pipeline [-threads N] [-engine compiled|compiled-noopt] [-guard]
-                [-recover] [-adapt] [-sample-k K] [-region-timeout D]
+                [-recover] [-adapt] [-region-timeout D]
                 [-profile-input train.c]
-                [-hotspots] [-hotspots-json sites.json]
-                [-opt-profile sites.json] file.c`)
+                [-hotspots] [-hotspots-json sites.json] file.c`)
 	os.Exit(2)
 }
 
@@ -101,37 +95,13 @@ func engineFlag(name string) (gdsx.OptLevel, error) {
 	return opt, nil
 }
 
-// readOptProfile loads a hot-site profile (the JSON a previous
-// `pipeline -hotspots -hotspots-json` run wrote) for the compiled
-// engine's site specializer. An empty path means no profile.
-func readOptProfile(path string) (*gdsx.SiteProfile, error) {
-	if path == "" {
-		return nil, nil
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var reps []obs.SiteReport
-	if err := json.Unmarshal(data, &reps); err != nil {
-		return nil, fmt.Errorf("opt-profile %s: %w", path, err)
-	}
-	return gdsx.SiteProfileFromReports(reps), nil
-}
-
 func runCmd(args []string) error {
 	fs := flag.NewFlagSet("run", flag.ExitOnError)
 	threads := fs.Int("threads", 1, "simulated thread count")
 	seq := fs.Bool("seq", false, "force sequential execution of parallel loops")
 	engineName := fs.String("engine", "compiled", "execution engine: compiled or compiled-noopt")
-	optProfile := fs.String("opt-profile", "",
-		"hot-site profile JSON (from pipeline -hotspots-json) for site specialization")
 	fs.Parse(args)
 	opt, err := engineFlag(*engineName)
-	if err != nil {
-		return err
-	}
-	sites, err := readOptProfile(*optProfile)
 	if err != nil {
 		return err
 	}
@@ -139,8 +109,7 @@ func runCmd(args []string) error {
 	if err != nil {
 		return err
 	}
-	res, err := prog.Run(gdsx.RunOptions{Threads: *threads, ForceSequential: *seq,
-		Opt: opt, OptProfile: sites})
+	res, err := prog.Run(gdsx.RunOptions{Threads: *threads, ForceSequential: *seq, Opt: opt})
 	if err != nil {
 		return err
 	}
@@ -266,14 +235,9 @@ func pipelineCmd(args []string) error {
 		"with -guard: roll back and re-execute a violating region sequentially "+
 			"instead of discarding the whole run")
 	adapt := fs.Bool("adapt", false,
-		"adaptive guarded execution: guard-sampling tiers, region recovery, and "+
-			"runtime re-expansion (layout flip, copy-count halving) on repeated "+
-			"violations at one site pair (implies -guard -recover)")
-	sampleK := fs.Int("sample-k", 0,
-		"with -guard or -adapt: first sampled guard tier — after a clean streak "+
-			"the monitor checks every k-th iteration, escalating back to full "+
-			"guarding on suspicion (0 = full guarding; -adapt defaults to the "+
-			"standard ladder)")
+		"adaptive guarded execution: region recovery and runtime re-expansion "+
+			"(layout flip, copy-count halving) on repeated violations at one "+
+			"site pair (implies -guard -recover)")
 	regionTimeout := fs.Duration("region-timeout", 0,
 		"with -recover: watchdog limit per parallel region (e.g. 500ms; 0 = unbounded)")
 	profileInput := fs.String("profile-input", "",
@@ -287,16 +251,9 @@ func pipelineCmd(args []string) error {
 	hotspotsOut := fs.String("hotspots-out", "",
 		"with -hotspots: also write the full profile as flamegraph folded stacks")
 	hotspotsJSON := fs.String("hotspots-json", "",
-		"with -hotspots: write the per-site profile as JSON (feed to -opt-profile)")
-	optProfile := fs.String("opt-profile", "",
-		"hot-site profile JSON from a previous -hotspots-json run; the compiled "+
-			"engine specializes the hottest sites' accessors")
+		"with -hotspots: write the per-site profile as JSON")
 	fs.Parse(args)
 	opt, err := engineFlag(*engineName)
-	if err != nil {
-		return err
-	}
-	sites, err := readOptProfile(*optProfile)
 	if err != nil {
 		return err
 	}
@@ -316,22 +273,12 @@ func pipelineCmd(args []string) error {
 		}
 		topts.ProfileSource = string(psrc)
 	}
-	ropts := gdsx.RunOptions{Threads: *threads, Opt: opt,
-		RegionTimeout: *regionTimeout, OptProfile: sites}
+	ropts := gdsx.RunOptions{Threads: *threads, Opt: opt, RegionTimeout: *regionTimeout}
 	if *recoverRegions && !*guarded && !*adapt {
 		return fmt.Errorf("-recover requires -guard")
 	}
-	if *sampleK != 0 && !*guarded && !*adapt {
-		return fmt.Errorf("-sample-k requires -guard or -adapt")
-	}
 	if *recoverRegions {
 		ropts.Recover = &gdsx.RecoverySpec{}
-	}
-	switch {
-	case *sampleK > 0:
-		ropts.Sample = &gdsx.TierSpec{SampleK: *sampleK}
-	case *adapt:
-		ropts.Sample = &gdsx.TierSpec{}
 	}
 	if *hotspotsJSON != "" && !*hotspots {
 		return fmt.Errorf("-hotspots-json requires -hotspots")
@@ -362,9 +309,8 @@ func pipelineCmd(args []string) error {
 		out = res.Result
 		fmt.Print(out.Output)
 		fmt.Fprintf(os.Stderr, "adapt: %d attempt(s), %d re-expansion(s); final: %s layout, "+
-			"%d copies, %d suspicion(s), %d region recover(ies)\n",
-			ares.Attempts, len(ares.Reexpansions), ares.Layout, ares.Threads,
-			res.Suspicions, res.Recovered)
+			"%d copies, %d region recover(ies)\n",
+			ares.Attempts, len(ares.Reexpansions), ares.Layout, ares.Threads, res.Recovered)
 		for _, rx := range ares.Reexpansions {
 			if rx.Failed {
 				fmt.Fprintf(os.Stderr, "adapt: attempt %d: re-expansion failed: %s\n",
@@ -378,7 +324,7 @@ func pipelineCmd(args []string) error {
 		if err := gdsx.RenderHealthReport(os.Stderr, res); err != nil {
 			return err
 		}
-		// Fold the ladder state into the run's registry: per-region tiers,
+		// Fold the ladder state into the run's registry: region health,
 		// residual strikes, re-expansion decisions — what -metrics renders.
 		if ropts.Obs != nil && ropts.Obs.Metrics != nil {
 			gdsx.PublishRegionStats(ropts.Obs.Metrics, res.Regions)
@@ -412,7 +358,6 @@ func pipelineCmd(args []string) error {
 		if ropts.Obs != nil && ropts.Obs.Metrics != nil {
 			gdsx.PublishRegionStats(ropts.Obs.Metrics, res.Regions)
 			gdsx.PublishGuardReports(ropts.Obs.Metrics, res.Violations)
-			gdsx.PublishTierStats(ropts.Obs.Metrics, res.Tiers)
 		}
 	} else {
 		out, err = tr.Expanded.Run(ropts)
@@ -442,7 +387,7 @@ func pipelineCmd(args []string) error {
 // writeObsOutputs emits the observability artifacts the pipeline flags
 // requested: the Chrome trace JSON, the metrics registry text, and the
 // hot-site profile (top table on stderr, folded stacks or the raw
-// per-site JSON the optimizer's -opt-profile flag re-reads to files).
+// per-site JSON to files).
 func writeObsOutputs(o *gdsx.Observer, expanded *gdsx.Program, traceOut, metricsOut string, hotspots bool, hotspotsOut, hotspotsJSON string) error {
 	if o == nil {
 		return nil
@@ -507,8 +452,7 @@ func writeObsOutputs(o *gdsx.Observer, expanded *gdsx.Program, traceOut, metrics
 			if err := os.WriteFile(hotspotsJSON, append(data, '\n'), 0o644); err != nil {
 				return err
 			}
-			fmt.Fprintf(os.Stderr, "hotspots: site profile -> %s (use with -opt-profile)\n",
-				hotspotsJSON)
+			fmt.Fprintf(os.Stderr, "hotspots: site profile -> %s\n", hotspotsJSON)
 		}
 	}
 	return nil

@@ -26,8 +26,8 @@
 // whole-program fallback on violating inputs and the snapshot cost on
 // clean ones; obs, the observability tiers on expanded parallel runs
 // and on gdsxd request batches (serve.Config.DisableObs vs default);
-// adapt, the guard-sampling check cut, the re-expansion win and the
-// commutative-privatization speedup. A full run writes
+// adapt, the re-expansion win and the commutative-privatization
+// speedup. A full run writes
 // BENCH_<family>.json, or -o with a single family. Measure at -scale
 // profile: guarded runs log every access, so bench-scale inputs need
 // gigabytes of log memory, and the checked-in files are at profile
@@ -37,8 +37,9 @@
 // to the checked-in BENCH_<family>.json (or -o) by one rule: a gated
 // suite fails when its geomean is worse than the baseline's, over the
 // same cases, by more than max(5%, 2 × the larger of the two suites'
-// spreads). A baseline at another scale or thread count, or one
-// lacking a case, is an error. Recovery has no gate subset and is
+// spreads). A baseline at another scale or thread count, one lacking a
+// case, or one gating a suite the run did not produce, is an error.
+// Recovery has no gate subset and is
 // skipped. The exit status is nonzero on any failure; CI runs
 // `gdsxbench -suite all -quick -scale profile`.
 //
@@ -256,6 +257,10 @@ func runSuites(h *bench.Harness, which string, quick bool, out string) error {
 		var base bench.SuiteReport
 		if err := json.Unmarshal(data, &base); err != nil {
 			return fmt.Errorf("%s: %w", file, err)
+		}
+		if stale := bench.Stale(rep, &base); len(stale) > 0 {
+			return fmt.Errorf("gate against %s: the baseline gates suites this run did not produce: %v",
+				file, stale)
 		}
 		verdicts, err := bench.Gate(rep, &base)
 		if err != nil {

@@ -71,13 +71,13 @@ int main() { int a = 2; int b = set(&a); return a * 10 + b; }`)
 			}
 		}
 		// Chaos phase: the same parallel containment requirement must
-		// hold with region recovery plus injected suspicions and forced
-		// rollbacks — the ladder's snapshot/rollback/re-execute machinery
-		// must never turn a mutated source into a panic or a hang.
+		// hold with region recovery plus forced rollbacks — the ladder's
+		// snapshot/rollback/re-execute machinery must never turn a
+		// mutated source into a panic or a hang.
 		{
 			o := opts
 			o.Recover = &RecoverySpec{}
-			o.FaultPlan = &FaultPlan{SuspectEvery: 2, RollbackEvery: 3}
+			o.FaultPlan = &FaultPlan{RollbackEvery: 3}
 			if _, rerr := prog.Run(o); rerr != nil {
 				var re interp.RuntimeError
 				if !errors.As(rerr, &re) {

@@ -101,15 +101,11 @@ type RunOptions struct {
 	// Hooks intercept execution (profiling, runtime privatization).
 	Hooks *interp.Hooks
 	// Opt selects the engine's optimization level. The zero value
-	// enables the full pass pipeline (register promotion,
-	// superinstruction fusion, profile-guided specialization); OptNone
-	// disables it (-engine compiled-noopt). Both levels produce
-	// byte-identical output and identical instruction counters.
+	// enables the full pass pipeline (register promotion and
+	// superinstruction fusion); OptNone disables it (-engine
+	// compiled-noopt). Both levels produce byte-identical output and
+	// identical instruction counters.
 	Opt OptLevel
-	// OptProfile feeds a prior run's hot-site profile to the optimizer,
-	// which specializes the hottest sites' memory accessors to their
-	// observed access width. Nil disables specialization.
-	OptProfile *SiteProfile
 	// Recover enables region-scoped checkpoint/rollback recovery: each
 	// parallel region snapshots mutable machine state on entry, and a
 	// guard violation, worker fault or watchdog timeout rolls just that
@@ -122,18 +118,11 @@ type RunOptions struct {
 	// and re-executed sequentially; without it the run fails.
 	RegionTimeout time.Duration
 	// FaultPlan injects failures into otherwise-healthy parallel
-	// regions (spurious guard suspicions, forced rollbacks) for chaos
-	// testing of the recovery ladder. Inert without Recover: the
-	// injected faults surface only at the region-commit decision, which
-	// only recovery-enabled runs make. See interp.FaultPlan.
+	// regions (forced rollbacks) for chaos testing of the recovery
+	// ladder. Inert without Recover: the injected faults surface only
+	// at the region-commit decision, which only recovery-enabled runs
+	// make. See interp.FaultPlan.
 	FaultPlan *FaultPlan
-	// Sample enables tiered guard sampling for guarded runs
-	// (GuardedRunPrecompiled and AdaptiveRun): regions start fully
-	// guarded and, after a clean streak, drop to checking every k-th
-	// iteration, escalating back to full guarding on any suspicious
-	// access. &TierSpec{} selects the defaults; nil keeps every region
-	// fully guarded. Ignored by plain Run (no guard monitor to sample).
-	Sample *TierSpec
 	// Obs attaches the runtime observability layer (package obs): an
 	// event tracer with a Chrome trace-event exporter, a metrics
 	// registry, and an optional per-access hot-site profiler. Nil
@@ -294,16 +283,6 @@ const (
 	OptNone = interp.OptNone
 )
 
-// SiteProfile re-exports the optimizer's hot-site profile input.
-type SiteProfile = interp.SiteProfile
-
-// SiteProfileFromReports converts the hot-site profiler's per-site
-// report (Observer.Hot.Report(), or the same JSON re-read from the
-// pipeline's -hotspots-json output) into the optimizer's profile form.
-func SiteProfileFromReports(reps []obs.SiteReport) *SiteProfile {
-	return interp.SiteProfileFromReports(reps)
-}
-
 // OptFromEngine parses an -engine name ("compiled", "compiled-noopt",
 // or "" for the default) into the optimization level it selects.
 func OptFromEngine(name string) (OptLevel, bool) { return interp.OptFromEngine(name) }
@@ -324,7 +303,6 @@ func (o RunOptions) interpOptions() interp.Options {
 		Sched:           o.Sched,
 		Hooks:           o.Hooks,
 		Opt:             o.Opt,
-		OptProfile:      o.OptProfile,
 		Recover:         o.Recover,
 		RegionTimeout:   o.RegionTimeout,
 		FaultPlan:       o.FaultPlan,

@@ -9,12 +9,6 @@ import (
 	"gdsx/internal/rtpriv"
 )
 
-// TierSpec re-exports the guard monitor's sampling-tier configuration.
-type TierSpec = guard.TierSpec
-
-// TierStats re-exports the per-region sampling-tier health record.
-type TierStats = guard.TierStats
-
 // CommStats re-exports the commutative privatizer's statistics.
 type CommStats = rtpriv.CommStats
 
@@ -42,16 +36,9 @@ type GuardedResult struct {
 	// re-executed sequentially inside the guarded run (always 0 without
 	// RunOptions.Recover).
 	Recovered int
-	// Suspicions counts rollbacks caused by sampled-tier suspicions
-	// rather than confirmed violations (always 0 without
-	// RunOptions.Sample). Suspicions charge no demotion strike.
-	Suspicions int
 	// Regions holds the per-region recovery health records (rollbacks,
 	// demotions, snapshot cost) when the run used RunOptions.Recover.
 	Regions []RegionStats
-	// Tiers holds the per-region guard-sampling tier records when the
-	// run used RunOptions.Sample.
-	Tiers []TierStats
 	// Comm holds the commutative privatizer's statistics when the
 	// transformation planted __comm_note markers (see
 	// expand.Options.Commutative); nil otherwise.
@@ -91,16 +78,6 @@ func (tr *TransformResult) commClasses() int {
 //     the native program re-executes sequentially — correct, but
 //     O(program) cost for an O(region) fault.
 //
-// With opts.Sample set, each region additionally moves through guard
-// sampling tiers: after a clean streak the monitor checks only every
-// k-th iteration (k escalating geometrically), and any suspicious
-// access — evidence that could be a sampling artifact — rolls the
-// region back without a demotion strike and restores full guarding
-// before the next region entry. Checkpoint/rollback remains the safety
-// net: a region that commits under an unsampled violation is corrupt
-// only until the tier realigns, which the escalation guarantees within
-// k executions.
-//
 // If the transformation planted commutative-privatization markers
 // (expand.Options.Commutative), the commutative runtime is attached:
 // reduction-shaped accumulators get per-thread identity-initialized
@@ -130,11 +107,7 @@ func guardedRun(native *Program, tr *TransformResult, exp *Program, opts RunOpti
 	if threads <= 0 {
 		threads = 1
 	}
-	var tiers *guard.TierController
-	if opts.Sample != nil {
-		tiers = guard.NewTierController(*opts.Sample)
-	}
-	mon := guard.New(guard.Config{Threads: threads, Info: exp.Info, Obs: opts.Obs, Tiers: tiers})
+	mon := guard.New(guard.Config{Threads: threads, Info: exp.Info, Obs: opts.Obs})
 	var comm *rtpriv.CommutativeRuntime
 	chained := opts.Hooks
 	if tr.commClasses() > 0 {
@@ -149,9 +122,6 @@ func guardedRun(native *Program, tr *TransformResult, exp *Program, opts RunOpti
 	}
 	out, err := m.Run()
 	finish := func(res *GuardedResult) *GuardedResult {
-		if tiers != nil {
-			res.Tiers = tiers.Snapshot()
-		}
 		if comm != nil {
 			s := comm.Stats()
 			res.Comm = &s
@@ -169,23 +139,20 @@ func guardedRun(native *Program, tr *TransformResult, exp *Program, opts RunOpti
 		}
 		for _, r := range out.Regions {
 			res.Recovered += r.Rollbacks
-			res.Suspicions += r.Suspicions
 		}
 		return finish(res), nil
 	}
 	var ve *guard.ViolationError
-	var se *interp.SuspicionError
-	if !errors.As(err, &ve) && !errors.As(err, &se) {
+	if !errors.As(err, &ve) {
 		return nil, err // a genuine runtime error, not a guard abort
 	}
-	// Dependence violation (or an unrecoverable sampled-tier suspicion)
-	// with no region recovery configured: discard the expanded run and
-	// re-execute the native program sequentially, in the Reset arena,
-	// for the correct output. The caller's hooks observe this run; the
-	// monitor's do not (there is nothing left to guard). The fault
-	// injection is disarmed — its countdown already elapsed against the
-	// parallel attempt's allocation sequence, and the native program
-	// allocates differently.
+	// Dependence violation with no region recovery configured: discard
+	// the expanded run and re-execute the native program sequentially,
+	// in the Reset arena, for the correct output. The caller's hooks
+	// observe this run; the monitor's do not (there is nothing left to
+	// guard). The fault injection is disarmed — its countdown already
+	// elapsed against the parallel attempt's allocation sequence, and
+	// the native program allocates differently.
 	sopts := opts // keeps opts.Hooks: the caller's hooks see the fallback
 	sopts.ForceSequential = true
 	sopts.FailAlloc = 0
@@ -194,15 +161,10 @@ func guardedRun(native *Program, tr *TransformResult, exp *Program, opts RunOpti
 	if serr != nil {
 		return nil, fmt.Errorf("gdsx: sequential re-execution after guard abort: %w", serr)
 	}
-	res := &GuardedResult{
+	return finish(&GuardedResult{
 		Result:     seq,
+		Violation:  ve.Report,
 		Violations: mon.Reports(),
 		FellBack:   true,
-	}
-	if ve != nil {
-		res.Violation = ve.Report
-	} else {
-		res.Suspicions = 1
-	}
-	return finish(res), nil
+	}), nil
 }

@@ -1,19 +1,13 @@
 package bench
 
-// Adaptive speculation ladder: what each rung buys, as three suites.
+// Adaptive speculation ladder: what each rung buys, as two suites.
 //
-//  1. adapt-sampling: the monitor's checked accesses (the
-//     "guard.events_logged" counter) under full guarding vs the
-//     sampling ladder, on a clean workload that re-executes its region
-//     enough times to earn the sampled tiers. The cut counts events,
-//     so it is deterministic and gated; the ladder must cut checking at
-//     least in half. The full/sampled wall ratio is reported beside it.
-//  2. adapt-reexpand: the window workload violates at 4 threads on
+//  1. adapt-reexpand: the window workload violates at 4 threads on
 //     every region execution, so a recover-only run is stuck rolling
 //     back. The adaptive driver re-expands (layout flip, then
 //     copy-count halving) into a clean 2-thread configuration; the
 //     case compares that steady state against the stuck baseline.
-//  3. adapt-comm: the reduction workload's carried flow is real, so
+//  2. adapt-comm: the reduction workload's carried flow is real, so
 //     expansion alone cannot parallelize it; privatized per-thread
 //     accumulators can. The gated count is the simulated loop speedup
 //     over native sequential execution (the paper figures' currency);
@@ -28,10 +22,6 @@ import (
 	"gdsx/internal/workloads"
 )
 
-// adaptSample is the tier spec both wall-time adapt suites run with:
-// a region earns the sampled tier after one clean execution.
-var adaptSample = gdsx.TierSpec{PromoteAfter: 1, SampleK: 8}
-
 // nativeOutput is the sequential output the adapt suites check against.
 func (h *Harness) nativeOutput(prog *gdsx.Program) (string, error) {
 	res, err := prog.Run(h.run(gdsx.RunOptions{ForceSequential: true}))
@@ -39,79 +29,15 @@ func (h *Harness) nativeOutput(prog *gdsx.Program) (string, error) {
 }
 
 func (h *Harness) adaptSuites(quick bool) ([]Suite, error) {
-	threads := h.topThreads()
-	sampling, err := h.adaptSampling(threads)
-	if err != nil {
-		return nil, err
-	}
 	reexpand, err := h.adaptReexpand(quick)
 	if err != nil {
 		return nil, err
 	}
-	comm, err := h.adaptComm(threads)
+	comm, err := h.adaptComm(h.topThreads())
 	if err != nil {
 		return nil, err
 	}
-	return []Suite{sampling, reexpand, comm}, nil
-}
-
-// adaptSampling runs the clean escape profile (ten region executions)
-// guarded, with the tier controller off and on, under the default
-// ladder and an aggressive k=8 first tier.
-func (h *Harness) adaptSampling(threads int) (Suite, error) {
-	w := workloads.AdversarialEscape()
-	src := w.Profile(h.cfg.Scale)
-	g, err := h.buildGuarded(w.Name, src, src)
-	if err != nil {
-		return Suite{}, err
-	}
-	want, err := h.nativeOutput(g.native)
-	if err != nil {
-		return Suite{}, fmt.Errorf("%s: native run: %w", w.Name, err)
-	}
-	run := func(sample *gdsx.TierSpec) func(*gdsx.Memory) (Sample, error) {
-		return func(m *gdsx.Memory) (Sample, error) {
-			// A registry per run isolates its logged-event count.
-			reg := gdsx.NewRegistry()
-			res, err := g.run(gdsx.RunOptions{Threads: threads, Sched: gdsx.SchedStatic,
-				Memory: m, Obs: &gdsx.Observer{Metrics: reg}, Sample: sample,
-				Recover: &gdsx.RecoverySpec{}})
-			if err != nil {
-				return Sample{}, err
-			}
-			if res.FellBack || len(res.Violations) > 0 {
-				return Sample{}, fmt.Errorf("guard fired on the clean profile")
-			}
-			if res.Result.Output != want {
-				return Sample{}, fmt.Errorf("guarded output diverges from native")
-			}
-			events := reg.Snapshot().Counters["guard.events_logged"]
-			if events <= 0 {
-				return Sample{}, fmt.Errorf("guarded run logged no events")
-			}
-			return Sample{Output: res.Result.Output, Count: float64(events)}, nil
-		}
-	}
-	s := Suite{Name: "adapt-sampling", Metric: "check cut (full/sampled events)",
-		Count: "guard.events_logged", Better: Higher, Threads: threads, Gated: true,
-		Accept: func(r *SuiteResult) error {
-			if r.Geomean < 2 {
-				return fmt.Errorf("geomean check cut %.2fx is below the 2x floor"+
-					" the ladder must clear on clean regions", r.Geomean)
-			}
-			return nil
-		},
-	}
-	for _, c := range []struct {
-		name string
-		spec gdsx.TierSpec
-	}{
-		{w.Name, gdsx.TierSpec{}},
-		{w.Name + "/k8", gdsx.TierSpec{SampleK: 8}},
-	} {
-		s.Cases = append(s.Cases, Case{Name: c.name, Base: run(nil), Cand: run(&c.spec)})
-	}
-	return s, nil
+	return []Suite{reexpand, comm}, nil
 }
 
 // adaptReexpand times the window workload stuck in the recovery ladder
@@ -147,12 +73,10 @@ func (h *Harness) adaptReexpand(quick bool) (Suite, error) {
 	if len(ares.Reexpansions) == 0 {
 		return Suite{}, fmt.Errorf("%s: the violating window triggered no re-expansion", w.Name)
 	}
-	// Both sides run the full ladder, sampling included. The tier spec
-	// only affects clean streaks, so the violating baseline is untouched
-	// by it; the adapted steady state earns the sampled tier at once.
+	// Both sides run guarded with region recovery.
 	run := func(tr *gdsx.TransformResult, n int, m *gdsx.Memory) (*gdsx.GuardedResult, error) {
 		res, err := gdsx.GuardedRunPrecompiled(g.native, tr, tr.Expanded, gdsx.RunOptions{Threads: n,
-			Sched: gdsx.SchedStatic, Memory: m, Recover: &gdsx.RecoverySpec{}, Sample: &adaptSample})
+			Sched: gdsx.SchedStatic, Memory: m, Recover: &gdsx.RecoverySpec{}})
 		if err == nil && res.Result.Output != want {
 			err = fmt.Errorf("output diverges from native")
 		}
@@ -254,8 +178,7 @@ func (h *Harness) adaptComm(top int) (Suite, error) {
 				// flow), so it must stay violation-free and actually route
 				// the accumulator traffic through private copies.
 				res, err := gdsx.GuardedRunPrecompiled(prog, tr, tr.Expanded, gdsx.RunOptions{Threads: n,
-					Sched: gdsx.SchedStatic, Memory: m, Recover: &gdsx.RecoverySpec{},
-					Sample: &adaptSample})
+					Sched: gdsx.SchedStatic, Memory: m, Recover: &gdsx.RecoverySpec{}})
 				if err != nil {
 					return Sample{}, err
 				}

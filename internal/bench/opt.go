@@ -1,14 +1,10 @@
 package bench
 
 // Optimization pipeline: host time of the compiled engine with its
-// passes (register promotion, superinstruction fusion, profile-guided
-// site specialization) against the same engine with the pipeline off.
-// The passes change dispatch cost only; output and counters stay
-// identical (see the opt-parity tests at the repository root). Each
-// workload is first profiled at profile scale with the hot-site
-// profiler, and its site weights drive the specializer during the
-// measured runs — the same two-step flow as `gdsx pipeline
-// -hotspots-json` followed by `-opt-profile`.
+// passes (register promotion and superinstruction fusion) against the
+// same engine with the pipeline off. The passes change dispatch cost
+// only; output and counters stay identical (see the opt-parity tests
+// at the repository root).
 
 import (
 	"fmt"
@@ -20,19 +16,6 @@ import (
 // optGate is the opt suite's gate subset: pointer chasing, bit
 // twiddling and a block transform, enough to catch a broken pass.
 var optGate = []string{"dijkstra", "256.bzip2", "md5"}
-
-// hotProfile collects a workload's hot-site weights at profile scale.
-func hotProfile(w *workloads.Workload, memSize int64) (*gdsx.SiteProfile, error) {
-	prog, err := gdsx.Compile(w.Name+".c", w.Source(workloads.ProfileScale))
-	if err != nil {
-		return nil, err
-	}
-	o := gdsx.NewObserver(true)
-	if _, err := prog.Run(gdsx.RunOptions{Threads: 1, MemSize: memSize, Obs: o}); err != nil {
-		return nil, err
-	}
-	return gdsx.SiteProfileFromReports(o.Hot.Report()), nil
-}
 
 // pick returns the named workloads when quick, else all of them.
 func pick(quick bool, names []string) []*workloads.Workload {
@@ -54,18 +37,14 @@ func (h *Harness) optSuites(quick bool) ([]Suite, error) {
 		if err != nil {
 			return nil, fmt.Errorf("%s: compile: %w", w.Name, err)
 		}
-		sites, err := hotProfile(w, h.cfg.MemSize)
-		if err != nil {
-			return nil, fmt.Errorf("%s: hot profile: %w", w.Name, err)
-		}
-		run := func(opt gdsx.OptLevel, sp *gdsx.SiteProfile) func(*gdsx.Memory) (Sample, error) {
+		run := func(opt gdsx.OptLevel) func(*gdsx.Memory) (Sample, error) {
 			return func(m *gdsx.Memory) (Sample, error) {
-				res, err := prog.Run(gdsx.RunOptions{Threads: 1, Memory: m, Opt: opt, OptProfile: sp})
+				res, err := prog.Run(gdsx.RunOptions{Threads: 1, Memory: m, Opt: opt})
 				return Sample{Output: res.Output}, err
 			}
 		}
 		s.Cases = append(s.Cases, Case{Name: w.Name,
-			Base: run(gdsx.OptNone, nil), Cand: run(gdsx.OptDefault, sites)})
+			Base: run(gdsx.OptNone), Cand: run(gdsx.OptDefault)})
 	}
 	return []Suite{s}, nil
 }

@@ -420,6 +420,20 @@ func Gate(got, base *SuiteReport) ([]Verdict, error) {
 	return out, nil
 }
 
+// Stale returns the names of the baseline's gated suites that the run
+// did not produce. Gate walks only the run's suites, so a gated
+// baseline suite the code no longer measures would otherwise go
+// unnoticed; a full family run must produce every one of them.
+func Stale(got, base *SuiteReport) []string {
+	var out []string
+	for _, b := range base.Suites {
+		if b.Gated && got.suite(b.Name) == nil {
+			out = append(out, b.Name)
+		}
+	}
+	return out
+}
+
 // Render formats the report as one text table per suite.
 func (r *SuiteReport) Render() string {
 	var b strings.Builder

@@ -219,8 +219,8 @@ func TestGate(t *testing.T) {
 				i := slices.IndexFunc(hot.Cases, func(h CaseResult) bool { return h.Name == c.Name })
 				return hot.Cases[i].Wall.Ratios
 			}},
-		{"adapt check cut falls to 1.0x", "adapt", "adapt-sampling",
-			[]string{"adversarial-escape", "adversarial-escape/k8"},
+		{"adapt comm speedup falls to 1.0x", "adapt", "adapt-comm",
+			[]string{"comm-reduce/n=1", "comm-reduce/n=2", "comm-reduce/n=4", "comm-reduce/n=8"},
 			func(c *CaseResult) []float64 { return scaled(1 / c.Count.Ratio)(c) }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -274,5 +274,19 @@ func TestGateRefusesIncomparableBaselines(t *testing.T) {
 	got.Suites[0].Gated = false
 	if vs, err := Gate(got, &SuiteReport{Scale: got.Scale}); err != nil || len(vs) != 0 {
 		t.Errorf("ungated suite: verdicts %v, error %v; want neither", vs, err)
+	}
+
+	// A gated baseline suite the run did not produce is stale: the
+	// code no longer measures what the baseline vouches for. An
+	// ungated one is not.
+	got = quick()
+	b := *base
+	b.Suites = append(slices.Clone(base.Suites),
+		SuiteResult{Name: "retired", Gated: true}, SuiteResult{Name: "report-only"})
+	if stale := Stale(got, &b); !slices.Equal(stale, []string{"retired"}) {
+		t.Errorf("stale suites %v, want [retired]", stale)
+	}
+	if stale := Stale(got, base); len(stale) != 0 {
+		t.Errorf("stale suites against the checked-in baseline %v, want none", stale)
 	}
 }

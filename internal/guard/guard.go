@@ -40,7 +40,6 @@
 package guard
 
 import (
-	"fmt"
 	"sort"
 	"sync"
 
@@ -75,30 +74,11 @@ type Config struct {
 	// report (the total count is always exact). Default 16.
 	MaxViolations int
 
-	// CheckOwnStack makes the monitor log the accesses parallel workers
-	// make to their own stacks instead of waiving them as thread-private
-	// (per-thread stacks are disjoint address ranges that live exactly
-	// as long as the region, so the Definition 5 classification rules
-	// them out before expansion ever runs). The waiver removes the bulk
-	// of the in-region log volume; the one behaviour it gives up is
-	// attribution through an escaped stack local where the owning
-	// thread's side of the conflict is the waived access. Enable for
-	// exhaustive logs when debugging such a case.
-	CheckOwnStack bool
-
 	// Obs optionally receives the monitor's observability feed: a
 	// guard-verdict trace event per safe-point replay, per-thread
 	// log-size histograms, and replay/violation counters. Nil disables
 	// the feed.
 	Obs *obs.Observer
-
-	// Tiers attaches the adaptive sampling-tier controller (see
-	// adaptive.go): regions that stay clean drop to sampled checking,
-	// and flow-shaped evidence seen under sampling raises a suspicion
-	// (rollback + sequential re-execution, no strike) instead of a
-	// violation. Nil keeps every region fully guarded — the pre-adaptive
-	// behaviour.
-	Tiers *TierController
 }
 
 // note records the copy geometry of one expanded structure:
@@ -127,13 +107,6 @@ type Monitor struct {
 	nthreads    int
 	tlogs       []tlog
 	regionNotes []note
-
-	// Sampling plan of the active region (from Config.Tiers):
-	// sampleK <= 1 is full guarding, otherwise only iterations with
-	// Iter % sampleK == samplePhase are logged (plus every Def event,
-	// which kills byte history and must never be missed).
-	sampleK     int
-	samplePhase int64
 
 	// chunkPool recycles sealed log chunks across regions (guarded by
 	// mu); steady-state logging allocates nothing.
@@ -200,10 +173,12 @@ func (m *Monitor) Hooks() *interp.Hooks {
 		// sequential fast path (including register promotion) between
 		// regions instead of funnelling every access through the hook.
 		RegionOnly: true,
-		// A worker's own stack is thread-private by construction, so
-		// those accesses can neither conflict across threads nor alias
-		// an expanded structure; see Config.CheckOwnStack.
-		PrivateStacks:  !m.cfg.CheckOwnStack,
+		// A worker's own stack is thread-private by construction: the
+		// per-thread stacks are disjoint address ranges that live
+		// exactly as long as the region, so those accesses can neither
+		// conflict across threads nor alias an expanded structure, and
+		// waiving them removes the bulk of the in-region log volume.
+		PrivateStacks:  true,
 		Expand:         m.noteExpand,
 		Free:           m.free,
 		ParallelStart:  m.parallelStart,
@@ -261,10 +236,6 @@ func (m *Monitor) parallelStart(loopID, nthreads int) {
 	m.mu.Unlock()
 	m.loop = loopID
 	m.nthreads = nthreads
-	m.sampleK, m.samplePhase = 1, 0
-	if tc := m.cfg.Tiers; tc != nil {
-		m.sampleK, m.samplePhase = tc.plan(loopID)
-	}
 	if cap(m.tlogs) >= nthreads {
 		m.tlogs = m.tlogs[:nthreads]
 	} else {
@@ -278,13 +249,6 @@ func (m *Monitor) parallelStart(loopID, nthreads int) {
 // outside a parallel region the monitor is inert.
 func (m *Monitor) observe(ev interp.Access) {
 	if !m.active || ev.Tid >= len(m.tlogs) {
-		return
-	}
-	// Sampled tier: whole iterations are skipped (never single accesses,
-	// which would tear write/read pairs within an iteration), except
-	// definition events — a Def kills byte history and drops stale
-	// expansion notes, and missing one would manufacture false evidence.
-	if m.sampleK > 1 && !ev.Def && ev.Iter%int64(m.sampleK) != m.samplePhase {
 		return
 	}
 	l := &m.tlogs[ev.Tid]
@@ -338,37 +302,9 @@ func (m *Monitor) parallelEnd(loopID int) {
 	}
 	m.active = false
 	rep := m.replay()
-	// Flow-shaped evidence found under a sampled tier may be a sampling
-	// artifact (the true data source could be an unlogged write): demote
-	// it to a suspicion — rollback + sequential re-execution without a
-	// strike — and escalate the region back to full guarding, which
-	// settles the question on the next execution. Hard evidence
-	// (foreign-copy, unsynchronized-conflict) stays a violation at any
-	// tier.
-	suspicion := rep != nil && m.sampleK > 1 && !rep.hardEvidence()
-	m.emitVerdict(loopID, rep, suspicion)
+	m.emitVerdict(loopID, rep)
 	m.recycleLogs()
-	tc := m.cfg.Tiers
-	switch {
-	case rep == nil:
-		if tc != nil {
-			tc.noteClean(loopID)
-		}
-	case suspicion:
-		if tc != nil {
-			tc.noteSuspicion(loopID)
-		}
-		detail := "flow-shaped evidence under sampled guarding"
-		if len(rep.Violations) > 0 {
-			v := rep.Violations[0]
-			detail = fmt.Sprintf("[%s] site %d %s at %s (iteration %d, thread %d)",
-				v.Rule, v.Site, v.Text, v.Pos, v.Iter, v.Tid)
-		}
-		panic(interp.Abort{Err: &interp.SuspicionError{Loop: loopID, Detail: detail}})
-	default:
-		if tc != nil {
-			tc.noteViolation(loopID)
-		}
+	if rep != nil {
 		m.reports = append(m.reports, rep)
 		panic(interp.Abort{Err: &ViolationError{Report: rep}})
 	}
@@ -379,7 +315,7 @@ func (m *Monitor) parallelEnd(loopID int) {
 // violation's rule) plus replay/log-size/violation metrics. It runs
 // before the violation panic, so an aborted region's verdict is still
 // recorded.
-func (m *Monitor) emitVerdict(loopID int, rep *Report, suspicion bool) {
+func (m *Monitor) emitVerdict(loopID int, rep *Report) {
 	o := m.cfg.Obs
 	if o == nil {
 		return
@@ -393,20 +329,9 @@ func (m *Monitor) emitVerdict(loopID int, rep *Report, suspicion bool) {
 	}
 	o.Counter("guard.replays").Inc()
 	o.Counter("guard.events_logged").Add(logged)
-	if m.sampleK > 1 {
-		o.Counter("guard.sampled_replays").Inc()
-	}
 	label := "clean"
 	var total int64
-	switch {
-	case suspicion:
-		total = int64(rep.Total)
-		o.Counter("guard.suspicions").Inc()
-		label = "suspicion"
-		if len(rep.Violations) > 0 {
-			label = "suspicion:" + rep.Violations[0].Rule
-		}
-	case rep != nil:
+	if rep != nil {
 		total = int64(rep.Total)
 		o.Counter("guard.violations").Add(total)
 		o.Counter("guard.violating_regions").Inc()

@@ -62,21 +62,8 @@ type Report struct {
 	Total      int         `json:"total_violations"`
 	Violations []Violation `json:"violations"`
 	// ByRule counts every flagged access per rule (not capped, unlike
-	// Violations). The sampled-tier classifier uses it: foreign-copy and
-	// unsynchronized-conflict evidence is sound under sampling, while
-	// the flow-shaped rules may be sampling artifacts.
+	// Violations).
 	ByRule map[string]int `json:"by_rule,omitempty"`
-}
-
-// hardEvidence reports whether the report contains evidence that
-// cannot be a sampling artifact: a foreign-copy access is a property
-// of the single logged access, and an unsynchronized conflict is
-// witnessed by two logged events that no unlogged event could excuse.
-// The flow-shaped rules (carried-flow, stale-copy-read) infer a data
-// source from the absence of intervening writes — which sampling can
-// fake — so they are soft evidence.
-func (r *Report) hardEvidence() bool {
-	return r.ByRule[RuleForeignCopy] > 0 || r.ByRule[RuleConflict] > 0
 }
 
 // vioKey dedups reported violations.

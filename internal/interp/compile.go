@@ -320,9 +320,6 @@ func (c *compiler) storerFor(ty *ctypes.Type) func(t *thread, addr int64, v valu
 // observability adapter compile to the same closures as no hooks at
 // all).
 func (c *compiler) loadAcc(pos token.Pos, site int, ty *ctypes.Type) func(t *thread, addr int64) value {
-	if acc, ok := c.hotLoadAcc(pos, site, ty); ok {
-		return acc
-	}
 	ld := c.loaderFor(ty)
 	size := accSize(ty)
 	if !c.hooks.HasAccessHooks() {
@@ -354,9 +351,6 @@ func (c *compiler) loadAcc(pos token.Pos, site int, ty *ctypes.Type) func(t *thr
 
 // storeAcc compiles storeAccess for a fixed site and type.
 func (c *compiler) storeAcc(pos token.Pos, site int, ty *ctypes.Type) func(t *thread, addr int64, v value) {
-	if acc, ok := c.hotStoreAcc(pos, site, ty); ok {
-		return acc
-	}
 	st := c.storerFor(ty)
 	size := accSize(ty)
 	if !c.hooks.HasAccessHooks() {

@@ -4,20 +4,15 @@ import "sync"
 
 // FaultPlan injects deterministic failures into the adaptive
 // speculation ladder, for chaos testing: the ladder must converge to a
-// correct (possibly sequential) execution no matter where spurious
-// suspicions, forced rollbacks or re-expansion failures land. All
-// counters are 1-based "every Nth" frequencies; 0 disables that
-// injection. Injection points are deterministic functions of region
-// execution order, so a seeded plan reproduces exactly.
+// correct (possibly sequential) execution no matter where forced
+// rollbacks or re-expansion failures land. All counters are 1-based
+// "every Nth" frequencies; 0 disables that injection. Injection points
+// are deterministic functions of region execution order, so a seeded
+// plan reproduces exactly.
 //
-// Suspect/rollback injection piggybacks on the region-recovery
-// machinery: without Options.Recover those two injections are inert.
+// Rollback injection piggybacks on the region-recovery machinery:
+// without Options.Recover it is inert.
 type FaultPlan struct {
-	// SuspectEvery raises a spurious guard suspicion on every Nth
-	// parallel region execution that would otherwise commit: the region
-	// rolls back and re-executes sequentially (no demotion strike),
-	// exactly like a sampled-tier suspicion.
-	SuspectEvery int
 	// RollbackEvery forces a rollback (counted as a worker fault, with
 	// a demotion strike) on every Nth otherwise-successful parallel
 	// region execution.
@@ -34,20 +29,7 @@ type FaultPlan struct {
 type faultState struct {
 	mu        sync.Mutex
 	plan      FaultPlan
-	suspects  int
 	rollbacks int
-}
-
-// injectSuspect reports whether this region execution should suffer a
-// spurious suspicion.
-func (fs *faultState) injectSuspect() bool {
-	if fs == nil || fs.plan.SuspectEvery <= 0 {
-		return false
-	}
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	fs.suspects++
-	return fs.suspects%fs.plan.SuspectEvery == 0
 }
 
 // injectRollback reports whether this region execution should be
@@ -60,30 +42,4 @@ func (fs *faultState) injectRollback() bool {
 	defer fs.mu.Unlock()
 	fs.rollbacks++
 	return fs.rollbacks%fs.plan.RollbackEvery == 0
-}
-
-// SuspicionError is the structured error a guard monitor (or the fault
-// plan) raises for a suspicious access seen under sampled guarding:
-// the evidence is consistent with a dependence violation but may be a
-// sampling artifact, so the region rolls back and re-executes
-// sequentially without charging a demotion strike, and the monitor
-// escalates the region back to full guarding.
-type SuspicionError struct {
-	Loop int
-	// Detail describes the suspicious evidence (rule name, sites).
-	Detail string
-}
-
-func (e *SuspicionError) Error() string {
-	return "guard suspicion (sampled tier): " + e.Detail
-}
-
-// Suspicion marks the error for the region-recovery classifier.
-func (e *SuspicionError) Suspicion() bool { return true }
-
-// suspicious reports whether err (typically an Abort payload) is a
-// sampling-tier suspicion rather than a confirmed violation.
-func suspicious(err error) bool {
-	s, ok := err.(interface{ Suspicion() bool })
-	return ok && s.Suspicion()
 }

@@ -167,10 +167,6 @@ type Options struct {
 	// applies (see opt.go). The zero value is the full pipeline;
 	// OptNone reproduces the unoptimized closures.
 	Opt OptLevel
-	// OptProfile, when set, drives profile-guided site specialization:
-	// the hottest sites it names get flattened load/store accessors.
-	// Nil disables the pass; the other passes do not need a profile.
-	OptProfile *SiteProfile
 	// Recover enables region-scoped checkpoint/rollback recovery: each
 	// parallel region snapshots mutable state on entry, and a guard
 	// abort, worker fault or watchdog timeout rolls the region back and
@@ -188,8 +184,8 @@ type Options struct {
 	// cost (every producer is behind a nil check).
 	Obs *obs.Observer
 	// FaultPlan injects deterministic failures into the speculation
-	// ladder (spurious suspicions, forced rollbacks) for chaos testing.
-	// Nil disables injection.
+	// ladder (forced rollbacks) for chaos testing. Nil disables
+	// injection.
 	FaultPlan *FaultPlan
 	// Ctx, when non-nil, cancels the run cooperatively: its Done channel
 	// is watched for the duration of Run, and every statement boundary

@@ -1,5 +1,5 @@
-// Superinstruction fusion and profile-guided site specialization
-// (passes 2 and 3 of the optimization pipeline, see opt.go).
+// Superinstruction fusion (pass 2 of the optimization pipeline, see
+// opt.go).
 //
 // Fusion collapses closure chains whose links cannot observe or be
 // observed: compile-time constants and register-promoted scalars have
@@ -13,8 +13,6 @@
 package interp
 
 import (
-	"math"
-
 	"gdsx/internal/ast"
 	"gdsx/internal/ctypes"
 	"gdsx/internal/token"
@@ -376,151 +374,4 @@ func (c *compiler) fusedCondTest(e ast.Expr) func(t *thread, f *frame) bool {
 		b := fcy(oy(t, f))
 		return cmp(a.I, b.I)
 	}
-}
-
-// ---------------------------------------------------------------------
-// Profile-guided site specialization
-// ---------------------------------------------------------------------
-
-// hotLoadAcc builds the flattened accessor for a profiled-hot load
-// site: cache touch, bounds check and the direct fixed-width load in
-// one closure, replacing the generic touch/check closure calling into
-// a separate typed-load closure. Only meaningful on the no-access-hook
-// fast path; ok == false falls back to the generic accessor.
-func (c *compiler) hotLoadAcc(pos token.Pos, site int, ty *ctypes.Type) (func(t *thread, addr int64) value, bool) {
-	if !c.opt.hot[site] || c.hooks.HasAccessHooks() || ty == nil {
-		return nil, false
-	}
-	mm := c.mem
-	size := accSize(ty)
-	switch ty.Kind {
-	case ctypes.Float:
-		return func(t *thread, addr int64) value {
-			t.touchCache(addr)
-			t.checkAccess(pos, addr, size)
-			return fv(float64(math.Float32frombits(uint32(mm.Load4(addr)))))
-		}, true
-	case ctypes.Double:
-		return func(t *thread, addr int64) value {
-			t.touchCache(addr)
-			t.checkAccess(pos, addr, size)
-			return fv(math.Float64frombits(mm.Load8(addr)))
-		}, true
-	case ctypes.Ptr:
-		return func(t *thread, addr int64) value {
-			t.touchCache(addr)
-			t.checkAccess(pos, addr, size)
-			return iv(int64(mm.Load8(addr)))
-		}, true
-	}
-	if !ty.IsInteger() || !ty.HasStaticSize() {
-		return nil, false
-	}
-	switch ty.Size() {
-	case 1:
-		if ty.Unsigned {
-			return func(t *thread, addr int64) value {
-				t.touchCache(addr)
-				t.checkAccess(pos, addr, size)
-				return iv(int64(uint8(mm.Load1(addr))))
-			}, true
-		}
-		return func(t *thread, addr int64) value {
-			t.touchCache(addr)
-			t.checkAccess(pos, addr, size)
-			return iv(int64(int8(mm.Load1(addr))))
-		}, true
-	case 2:
-		if ty.Unsigned {
-			return func(t *thread, addr int64) value {
-				t.touchCache(addr)
-				t.checkAccess(pos, addr, size)
-				return iv(int64(uint16(mm.Load2(addr))))
-			}, true
-		}
-		return func(t *thread, addr int64) value {
-			t.touchCache(addr)
-			t.checkAccess(pos, addr, size)
-			return iv(int64(int16(mm.Load2(addr))))
-		}, true
-	case 4:
-		if ty.Unsigned {
-			return func(t *thread, addr int64) value {
-				t.touchCache(addr)
-				t.checkAccess(pos, addr, size)
-				return iv(int64(uint32(mm.Load4(addr))))
-			}, true
-		}
-		return func(t *thread, addr int64) value {
-			t.touchCache(addr)
-			t.checkAccess(pos, addr, size)
-			return iv(int64(int32(mm.Load4(addr))))
-		}, true
-	case 8:
-		return func(t *thread, addr int64) value {
-			t.touchCache(addr)
-			t.checkAccess(pos, addr, size)
-			return iv(int64(mm.Load8(addr)))
-		}, true
-	}
-	return nil, false
-}
-
-// hotStoreAcc is hotLoadAcc's store-side twin.
-func (c *compiler) hotStoreAcc(pos token.Pos, site int, ty *ctypes.Type) (func(t *thread, addr int64, v value), bool) {
-	if !c.opt.hot[site] || c.hooks.HasAccessHooks() || ty == nil {
-		return nil, false
-	}
-	mm := c.mem
-	size := accSize(ty)
-	switch ty.Kind {
-	case ctypes.Float:
-		return func(t *thread, addr int64, v value) {
-			t.touchCache(addr)
-			t.checkAccess(pos, addr, size)
-			mm.Store4(addr, uint64(math.Float32bits(float32(v.F))))
-		}, true
-	case ctypes.Double:
-		return func(t *thread, addr int64, v value) {
-			t.touchCache(addr)
-			t.checkAccess(pos, addr, size)
-			mm.Store8(addr, math.Float64bits(v.F))
-		}, true
-	case ctypes.Ptr:
-		return func(t *thread, addr int64, v value) {
-			t.touchCache(addr)
-			t.checkAccess(pos, addr, size)
-			mm.Store8(addr, uint64(v.I))
-		}, true
-	}
-	if !ty.IsInteger() || !ty.HasStaticSize() {
-		return nil, false
-	}
-	switch ty.Size() {
-	case 1:
-		return func(t *thread, addr int64, v value) {
-			t.touchCache(addr)
-			t.checkAccess(pos, addr, size)
-			mm.Store1(addr, uint64(v.I))
-		}, true
-	case 2:
-		return func(t *thread, addr int64, v value) {
-			t.touchCache(addr)
-			t.checkAccess(pos, addr, size)
-			mm.Store2(addr, uint64(v.I))
-		}, true
-	case 4:
-		return func(t *thread, addr int64, v value) {
-			t.touchCache(addr)
-			t.checkAccess(pos, addr, size)
-			mm.Store4(addr, uint64(v.I))
-		}, true
-	case 8:
-		return func(t *thread, addr int64, v value) {
-			t.touchCache(addr)
-			t.checkAccess(pos, addr, size)
-			mm.Store8(addr, uint64(v.I))
-		}, true
-	}
-	return nil, false
 }

@@ -185,14 +185,8 @@ func (t *thread) runParallelFor(f *frame, p *parFor) ctrl {
 			switch v := r.(type) {
 			case Abort:
 				// The guard monitor aborted at the safe point: a
-				// confirmed dependence violation, or — under sampled
-				// guarding — a suspicion that may be a sampling artifact
-				// and therefore charges no demotion strike.
-				kind := FailViolation
-				if suspicious(v.Err) {
-					kind = FailSuspicion
-				}
-				fail = &regionFault{kind: kind, err: v.Err}
+				// dependence violation.
+				fail = &regionFault{kind: FailViolation, err: v.Err}
 			case regionFault:
 				fail = &v
 			default:
@@ -208,18 +202,11 @@ func (t *thread) runParallelFor(f *frame, p *parFor) ctrl {
 		}()
 		t.parallelAttempt(f, p)
 	}()
-	if fail == nil {
+	if fail == nil && t.m.faults.injectRollback() {
 		// Chaos injection (Options.FaultPlan): an otherwise-committing
-		// region may be hit with a spurious suspicion or a forced
-		// rollback, exercising the ladder's recovery paths on demand.
-		switch {
-		case t.m.faults.injectSuspect():
-			fail = &regionFault{kind: FailSuspicion,
-				err: &SuspicionError{Loop: x.ID, Detail: "injected by fault plan"}}
-		case t.m.faults.injectRollback():
-			fail = &regionFault{kind: FailFault,
-				err: fmt.Errorf("fault plan: injected rollback")}
-		}
+		// region may be forced to roll back, exercising the ladder's
+		// recovery path on demand.
+		fail = &regionFault{kind: FailFault, err: fmt.Errorf("fault plan: injected rollback")}
 	}
 	if fail == nil {
 		pages, bytes := t.m.mem.Commit(snap.ms)

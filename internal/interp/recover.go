@@ -60,14 +60,6 @@ const (
 	FailFault
 	// FailTimeout: the region watchdog (Options.RegionTimeout) expired.
 	FailTimeout
-	// FailSuspicion: the guard monitor, running at a sampled tier, saw
-	// evidence consistent with a dependence violation but possibly a
-	// sampling artifact. The region rolls back and re-executes
-	// sequentially like a violation, but no demotion strike is charged —
-	// the tier controller escalates the region back to full guarding
-	// instead, which either confirms a real violation on the next
-	// execution or proves the region clean.
-	FailSuspicion
 )
 
 func (k FailKind) String() string {
@@ -78,8 +70,6 @@ func (k FailKind) String() string {
 		return "worker fault"
 	case FailTimeout:
 		return "timeout"
-	case FailSuspicion:
-		return "suspicion"
 	}
 	return "unknown"
 }
@@ -96,9 +86,6 @@ type RegionStats struct {
 	Violations int `json:"violations"`
 	Faults     int `json:"faults"`
 	Timeouts   int `json:"timeouts"`
-	// Suspicions counts sampled-tier rollbacks that charged no strike
-	// (see FailSuspicion).
-	Suspicions int `json:"suspicions,omitempty"`
 	// Rollbacks counts rolled-back parallel attempts, with the total
 	// pre-image pages and bytes the rollbacks restored.
 	Rollbacks     int   `json:"rollbacks"`
@@ -198,9 +185,6 @@ func (rc *recoveryState) noteFailure(loop int, fail *regionFault, pages int, byt
 	case FailTimeout:
 		h.stats.Timeouts++
 		rc.o.Counter("recover.rollbacks.timeout").Inc()
-	case FailSuspicion:
-		h.stats.Suspicions++
-		rc.o.Counter("recover.rollbacks.suspicion").Inc()
 	}
 	h.stats.Rollbacks++
 	h.stats.RollbackPages += pages
@@ -215,13 +199,6 @@ func (rc *recoveryState) noteFailure(loop int, fail *regionFault, pages int, byt
 	rc.o.Counter("recover.seq_runs").Inc()
 	rc.o.Emit(obs.Event{Name: "rollback", Ph: 'i', Loop: loop, Iter: -1,
 		Label: fail.kind.String(), V1: int64(pages), V2: bytes})
-	if fail.kind == FailSuspicion {
-		// A suspicion is possibly a sampling artifact: the tier
-		// controller escalates the region back to full guarding, which
-		// settles the question on the next execution. Charging a strike
-		// here would let artifacts demote a clean region.
-		return
-	}
 	h.strikes++
 	if h.strikes >= rc.spec.maxStrikes() {
 		h.stats.Demoted = true

@@ -12,8 +12,7 @@ import (
 // Entry is one cached transform-pipeline result: the compiled native
 // program and its transform (profiling + expansion — the expensive
 // part), which carries the compiled expanded program. Entries are
-// immutable after construction except for the harvested optimization
-// profile, which is published once via an atomic pointer.
+// immutable after construction.
 //
 // Machine-level closure compilation is deliberately NOT cached: the
 // compiled closures capture their Machine, so each run builds its own.
@@ -31,23 +30,6 @@ type Entry struct {
 	// itself; such entries are evicted after delivery instead of
 	// poisoning the key for later, better-resourced requests.
 	transient bool
-
-	// profile is the hot-site profile harvested from this entry's first
-	// full-quality run, used to specialize later compiled runs (shed
-	// level 0 only; see ladder.go).
-	profile atomic.Pointer[gdsx.SiteProfile]
-}
-
-// Profile returns the harvested optimization profile, nil before the
-// first harvest.
-func (e *Entry) Profile() *gdsx.SiteProfile { return e.profile.Load() }
-
-// SetProfile publishes a harvested profile; first writer wins so a
-// concurrent duplicate harvest cannot flip-flop specialization.
-func (e *Entry) SetProfile(p *gdsx.SiteProfile) {
-	if p != nil {
-		e.profile.CompareAndSwap(nil, p)
-	}
 }
 
 type cacheKey struct {

@@ -5,54 +5,40 @@ import (
 )
 
 // Shed levels: the degradation ladder trades execution quality for
-// admission capacity, in order of increasing harm, before the server
-// refuses work. Each level includes everything above it.
+// admission capacity before the server refuses work.
 const (
-	// ShedNone: full quality — profile-specialized compiled execution,
-	// opportunistic profile harvest on a cache entry's first run.
+	// ShedNone: full quality — every request runs at its requested
+	// thread count.
 	ShedNone = 0
-	// ShedNoSpecialize: drop profile-guided specialization and its
-	// harvest run overhead (the harvest's hot-site profiler forces every
-	// sited access through the hook path — the first thing to go).
-	ShedNoSpecialize = 1
-	// ShedSampleGuards: additionally force guarded runs onto aggressive
-	// guard-sampling tiers (promote after 1 clean region, start at
-	// every-8th-iteration checks), cutting monitor cost to its floor
-	// while checkpoint/rollback keeps correctness.
-	ShedSampleGuards = 2
-	// ShedSequential: additionally demote new requests to single-thread
-	// execution — no worker stacks, no region machinery, minimum memory
-	// and scheduler footprint per request. The last step before 429s.
-	ShedSequential = 3
+	// ShedSequential: demote new requests to single-thread execution —
+	// no worker stacks, no region machinery, minimum memory and
+	// scheduler footprint per request. The last step before 429s.
+	ShedSequential = 1
 
 	shedMax = ShedSequential
 )
 
+// The ladder's production thresholds: ShedSequential engages when the
+// occupancy EWMA (weight ladderAlpha per sample) reaches ladderUp and
+// releases when it falls below ladderDown.
+const (
+	ladderAlpha = 0.2
+	ladderUp    = 0.75
+	ladderDown  = 0.60
+)
+
 // Ladder tracks queue pressure as an exponentially-weighted moving
 // average of admission-queue occupancy and maps it to a shed level
-// with hysteresis: the level steps up when the EWMA crosses a
-// threshold and steps down only when it falls a margin below it, so
-// bursty arrivals don't make quality oscillate.
+// with hysteresis: the level engages at ladderUp and releases only
+// below ladderDown, so bursty arrivals don't make quality oscillate.
 type Ladder struct {
 	mu    sync.Mutex
 	ewma  float64
 	level int
-
-	// configuration (fixed at construction)
-	alpha float64
-	up    [shedMax]float64 // up[i]: occupancy to enter level i+1
-	down  float64          // hysteresis margin below up[level-1] to leave
 }
 
-// NewLadder returns a ladder with the production thresholds: levels
-// engage at 25/50/75% sustained occupancy and release 15 points lower.
-func NewLadder() *Ladder {
-	return &Ladder{
-		alpha: 0.2,
-		up:    [shedMax]float64{0.25, 0.50, 0.75},
-		down:  0.15,
-	}
-}
+// NewLadder returns a ladder at ShedNone with no pressure recorded.
+func NewLadder() *Ladder { return &Ladder{} }
 
 // Observe folds one occupancy sample (queued+running over capacity,
 // taken at each admission) into the EWMA and returns the level the
@@ -63,12 +49,12 @@ func (l *Ladder) Observe(occupancy float64) int {
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	l.ewma = l.alpha*occupancy + (1-l.alpha)*l.ewma
-	for l.level < shedMax && l.ewma >= l.up[l.level] {
-		l.level++
-	}
-	for l.level > 0 && l.ewma < l.up[l.level-1]-l.down {
-		l.level--
+	l.ewma = ladderAlpha*occupancy + (1-ladderAlpha)*l.ewma
+	switch {
+	case l.level == ShedNone && l.ewma >= ladderUp:
+		l.level = ShedSequential
+	case l.level == ShedSequential && l.ewma < ladderDown:
+		l.level = ShedNone
 	}
 	return l.level
 }

@@ -9,8 +9,10 @@
 package serve
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"time"
 
 	"gdsx"
@@ -75,11 +77,10 @@ type Options struct {
 	// TimeoutMs bounds wall-clock execution; the deadline cancels the
 	// interpreter cooperatively mid-region (0 = server default).
 	TimeoutMs int64 `json:"timeout_ms,omitempty"`
-	// FaultSuspectEvery / FaultRollbackEvery arm the interpreter's
-	// chaos fault plan (spurious guard suspicions / forced rollbacks
-	// every nth healthy region). Only honored when Guard is set; used
-	// by the chaos harness to exercise the recovery ladder end to end.
-	FaultSuspectEvery  int `json:"fault_suspect_every,omitempty"`
+	// FaultRollbackEvery arms the interpreter's chaos fault plan: a
+	// forced rollback every nth healthy region. Only honored when Guard
+	// is set; used by the chaos harness to exercise the recovery ladder
+	// end to end.
 	FaultRollbackEvery int `json:"fault_rollback_every,omitempty"`
 
 	// opt is the optimization level Engine names.
@@ -171,9 +172,17 @@ func ParseRequest(body []byte, lim Limits) (*Request, *Error) {
 	if int64(len(body)) > lim.MaxBodyBytes {
 		return nil, errf(CodeBadReq, "body exceeds %d bytes", lim.MaxBodyBytes)
 	}
+	// Unknown fields are refused rather than dropped: a misspelt option
+	// would otherwise run with its default, silently. The second Decode
+	// must hit EOF, which refuses trailing data as json.Unmarshal does.
 	var req Request
-	if err := json.Unmarshal(body, &req); err != nil {
+	dec := json.NewDecoder(bytes.NewReader(body))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&req); err != nil {
 		return nil, errf(CodeBadReq, "invalid JSON: %v", err)
+	}
+	if err := dec.Decode(&struct{}{}); err != io.EOF {
+		return nil, errf(CodeBadReq, "invalid JSON: trailing data after the request object")
 	}
 	if req.Source == "" {
 		return nil, errf(CodeBadReq, "source is required")
@@ -218,10 +227,10 @@ func ParseRequest(body []byte, lim Limits) (*Request, *Error) {
 	if o.TimeoutMs == 0 {
 		o.TimeoutMs = lim.DefTimeout.Milliseconds()
 	}
-	if o.FaultSuspectEvery < 0 || o.FaultRollbackEvery < 0 {
-		return nil, errf(CodeBadReq, "fault plan intervals must be non-negative")
+	if o.FaultRollbackEvery < 0 {
+		return nil, errf(CodeBadReq, "fault_rollback_every %d must be non-negative", o.FaultRollbackEvery)
 	}
-	if (o.FaultSuspectEvery > 0 || o.FaultRollbackEvery > 0) && !o.Guard {
+	if o.FaultRollbackEvery > 0 && !o.Guard {
 		return nil, errf(CodeBadReq, "fault plan requires guard: true (the plan drives the recovery ladder)")
 	}
 	return &req, nil

@@ -244,6 +244,13 @@ func TestStructuredErrors(t *testing.T) {
 		{"no source", `{}`, 400, CodeBadReq},
 		{"bad engine", `{"source":"int main(){return 0;}","options":{"engine":"jit"}}`, 400, CodeBadReq},
 		{"bad threads", `{"source":"int main(){return 0;}","options":{"threads":9999}}`, 400, CodeBadReq},
+		// Unknown fields are refused, not dropped: a dropped option
+		// would run with its default (unguarded, no fault plan).
+		{"misspelt option", `{"source":"int main(){return 0;}","options":{"gaurd":true}}`, 400, CodeBadReq},
+		{"misspelt fault plan", `{"source":"int main(){return 0;}","options":{"guard":true,"fault_suspect_evry":2}}`, 400, CodeBadReq},
+		{"retired fault plan", `{"source":"int main(){return 0;}","options":{"guard":true,"fault_suspect_every":2}}`, 400, CodeBadReq},
+		{"misspelt top-level field", `{"source":"int main(){return 0;}","sourc":"int main(){return 1;}"}`, 400, CodeBadReq},
+		{"trailing data", `{"source":"int main(){return 0;}"}}`, 400, CodeBadReq},
 		{"parse error", `{"source":"int main( {"}`, 400, CodeCompile},
 		{"sema error", `{"source":"int main() { return x; }"}`, 400, CodeCompile},
 	}
@@ -531,31 +538,48 @@ func TestDrainLifecycle(t *testing.T) {
 }
 
 func TestShedLadderEngagesUnderPressure(t *testing.T) {
+	// Below the 75% threshold every request runs at full quality.
 	l := NewLadder()
 	for i := 0; i < 50; i++ {
-		l.Observe(1.0)
+		l.Observe(0.6)
+	}
+	if l.Level() != ShedNone {
+		t.Fatalf("sustained 60%% occupancy at level %d, want %d", l.Level(), ShedNone)
+	}
+	// Sustained 80% occupancy engages sequential execution.
+	for i := 0; i < 50; i++ {
+		l.Observe(0.8)
 	}
 	if l.Level() != ShedSequential {
-		t.Fatalf("sustained full occupancy reached level %d, want %d", l.Level(), ShedSequential)
+		t.Fatalf("sustained 80%% occupancy at level %d, want %d", l.Level(), ShedSequential)
 	}
-	// Pressure releases: the ladder must step back down, through every
-	// level, with hysteresis (a single low sample is not enough).
-	l2 := NewLadder()
-	for i := 0; i < 50; i++ {
-		l2.Observe(0.3)
-	}
-	if l2.Level() != ShedNoSpecialize {
-		t.Fatalf("30%% occupancy at level %d, want %d", l2.Level(), ShedNoSpecialize)
-	}
-	l2.Observe(0.0)
-	if l2.Level() != ShedNoSpecialize {
+	// Pressure releases with hysteresis: a single low sample is not
+	// enough, sustained idleness is.
+	l.Observe(0.0)
+	if l.Level() != ShedSequential {
 		t.Fatal("one low sample released the level: hysteresis missing")
 	}
 	for i := 0; i < 50; i++ {
-		l2.Observe(0.0)
+		l.Observe(0.0)
 	}
-	if l2.Level() != ShedNone {
-		t.Fatalf("sustained idle left level %d", l2.Level())
+	if l.Level() != ShedNone {
+		t.Fatalf("sustained idle left level %d", l.Level())
+	}
+}
+
+// TestBurstWithoutRPS: a configured burst survives the rate default,
+// which fills in RPS alone (the flag's "0 = 2x rps" applies to Burst).
+func TestBurstWithoutRPS(t *testing.T) {
+	for _, tc := range []struct {
+		cfg, want RateLimit
+	}{
+		{RateLimit{Burst: 10}, RateLimit{RPS: 50, Burst: 10}},
+		{RateLimit{}, RateLimit{RPS: 50, Burst: 100}},
+		{RateLimit{RPS: 5}, RateLimit{RPS: 5, Burst: 10}},
+	} {
+		if got := New(Config{Rate: tc.cfg}).limiter.cfg; got != tc.want {
+			t.Errorf("Rate %+v: limiter %+v, want %+v", tc.cfg, got, tc.want)
+		}
 	}
 }
 

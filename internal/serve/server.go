@@ -36,8 +36,8 @@ type Config struct {
 	// transform's profiling runs included; it must cover
 	// Limits.MaxMemLimit (default 64 MiB).
 	ArenaBytes int64
-	// Rate is the per-tenant token bucket (default 50 req/s, burst
-	// 100; RPS < 0 disables rate limiting).
+	// Rate is the per-tenant token bucket (RPS defaults to 50 req/s and
+	// Burst to 2x RPS; RPS < 0 disables rate limiting).
 	Rate RateLimit
 	// TraceRetain bounds each retention pool of /debug/traces: the N
 	// slowest successful requests plus the N most recent errors
@@ -76,7 +76,7 @@ func (c *Config) fill() {
 		c.ArenaBytes = c.Limits.MaxMemLimit
 	}
 	if c.Rate.RPS == 0 {
-		c.Rate = RateLimit{RPS: 50, Burst: 100}
+		c.Rate.RPS = 50
 	}
 }
 
@@ -454,14 +454,8 @@ func (s *Server) execute(ctx context.Context, req *Request, level int, rq *reqSt
 		s.reg.Histogram("serve.exec_us").Observe(time.Since(execStart).Microseconds())
 	}()
 	if o.Guard && entry.Tr != nil {
-		if level >= ShedSampleGuards {
-			ropts.Sample = &gdsx.TierSpec{PromoteAfter: 1, SampleK: 8}
-		}
-		if o.FaultSuspectEvery > 0 || o.FaultRollbackEvery > 0 {
-			ropts.FaultPlan = &gdsx.FaultPlan{
-				SuspectEvery:  o.FaultSuspectEvery,
-				RollbackEvery: o.FaultRollbackEvery,
-			}
+		if o.FaultRollbackEvery > 0 {
+			ropts.FaultPlan = &gdsx.FaultPlan{RollbackEvery: o.FaultRollbackEvery}
 		}
 		gres, err := gdsx.GuardedRunPrecompiled(entry.Native, entry.Tr, entry.Tr.Expanded, ropts)
 		if err != nil {
@@ -476,28 +470,9 @@ func (s *Server) execute(ctx context.Context, req *Request, level int, rq *reqSt
 		if entry.Tr != nil {
 			prog = entry.Tr.Expanded
 		}
-		// Profile-guided specialization, shed level 0 only: the first run
-		// of a cache entry pays for a hot-site harvest on the run's
-		// observer (a bare one on a DisableObs server); every later run
-		// reuses the published profile for free.
-		var harvest *obs.HotSites
-		if level <= ShedNone && o.opt == gdsx.OptDefault {
-			if p := entry.Profile(); p != nil {
-				ropts.OptProfile = p
-			} else {
-				if ropts.Obs == nil {
-					ropts.Obs = &gdsx.Observer{}
-				}
-				harvest = obs.NewHotSites()
-				ropts.Obs.Hot = harvest
-			}
-		}
 		res, err := prog.Run(ropts)
 		if err != nil {
 			return nil, classifyRunError(rctx, err)
-		}
-		if harvest != nil {
-			entry.SetProfile(gdsx.SiteProfileFromReports(harvest.Report()))
 		}
 		resp.Output = res.Output
 		resp.Ops = totalOps(res)

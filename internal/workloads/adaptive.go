@@ -1,13 +1,13 @@
 package workloads
 
-// Workloads for the adaptive speculation ladder: tiered guard
-// sampling, runtime re-expansion, and commutative-update
-// privatization. Unlike AdversarialAll's programs these are not in the
-// plain guard-evaluation set — their violation patterns are
-// scheduler-placement-dependent (window) or rare-per-region (escape),
-// so the tests that drive them pin the schedule (SchedStatic) and the
-// ladder configuration instead of asserting "violation at every
-// thread count".
+// Workloads for the adaptive speculation ladder: guarded recovery of a
+// region that is not idempotent, runtime re-expansion, and
+// commutative-update privatization. Unlike AdversarialAll's programs
+// these are not in the plain guard-evaluation set — their violation
+// patterns are scheduler-placement-dependent (window) or one access
+// per region execution (escape), so the tests that drive them pin the
+// thread counts and the ladder configuration instead of asserting
+// "violation at every thread count".
 
 // AdaptiveAll returns the ladder-evaluation workloads.
 func AdaptiveAll() []*Adversarial {
@@ -15,27 +15,22 @@ func AdaptiveAll() []*Adversarial {
 }
 
 // AdversarialEscape exposes exactly one violating access per region
-// execution, and only after the region has built a clean streak — the
-// scenario tiered guard sampling must survive. The kernel is the
-// stencil's thread-private scratch pattern, but the scratch writes are
-// slot-determined (every writer of a slot stores the same value), so
-// the region is idempotent: re-executing it from any committed state
-// reproduces the same memory image, and the program's output depends
-// only on the final execution. main runs the kernel REPS times; after
-// CLEAN clean executions (enough for the sampled tier to engage) the
-// exposing input (S=1) redirects iteration VIOL's read to scratch
-// slot 8 — a slot no iteration writes. Sequentially that reads the
-// pre-loop init value; in the expanded program the read lands in the
-// accessing thread's copy, whose slot 8 is zero-filled — a
-// stale-copy-read. Under full guarding every violating execution is
-// caught; under sampling the violation escapes (and commits a corrupt
-// but self-healing state) whenever iteration VIOL falls between
-// sample points, until the rotating phase aligns, raises a suspicion,
-// and escalates the region back to full guarding — after which every
-// execution is caught and recovered, so the final state is
-// sequential-identical. Run under SchedStatic: the placement of VIOL
-// (thread nt/2 for the tested thread counts) is what makes the
-// violation deterministic.
+// execution, and only after the region has run clean. The kernel is
+// the stencil's thread-private scratch pattern with slot-determined
+// scratch writes (every writer of a slot stores the same value), but
+// the region adds into out instead of overwriting it, so it is not
+// idempotent: an execution that commits a wrong value keeps it in the
+// output for good. main runs the kernel REPS times; after CLEAN clean
+// executions the exposing input (S=1) redirects iteration VIOL's read
+// to scratch slot 8 — a slot no iteration writes. Sequentially that
+// reads the pre-loop init value; in the expanded program the read
+// lands in the accessing thread's copy, whose slot 8 is zero-filled —
+// a stale-copy-read. A guarded run with region recovery must catch,
+// roll back and re-execute every violating execution; one that lets a
+// single violating execution commit prints a different checksum from
+// native. VIOL lies in thread nt/2's static share for the tested
+// thread counts, so it runs off thread 0 — whose copy is the shared
+// one and would read the right value — unless a thief takes it.
 func AdversarialEscape() *Adversarial {
 	return &Adversarial{
 		Name:    "adversarial-escape",
@@ -68,12 +63,12 @@ void kernel(long *out) {
     parallel for (i = 0; i < N; i++) {
         tmp[i %% 8] = ((long)(i %% 8) + 1) * 2654435761 + 99991;
         long v = tmp[i %% 8 + S * (i == VIOL) * (8 - i %% 8)];
-        out[i] = v %% 65536;
+        out[i] = out[i] + v %% 65536;
     }
 }
 
 int main() {
-    long *out = (long*)malloc(N * 8);
+    long *out = (long*)calloc(N, 8);
     int j;
     for (j = 0; j < 9; j++) {
         tmp[j] = (long)(j + 1) * 1000003;
@@ -181,9 +176,8 @@ int main() {
 // Profile and Expose are the same program: the point is not a hidden
 // dependence but a dependence expansion cannot remove. The kernel runs
 // REPS times (the accumulators keep growing; the checksum covers the
-// final state) so a clean streak exists for the sampling ladder to
-// promote — the benchmark measures privatization composed with the
-// sampled tier, the configuration a production reduction settles into.
+// final state), so each guarded run enters the privatized region
+// several times.
 func CommReduce() *Adversarial {
 	src := func(s Scale) string {
 		n := pick(s, 128, 256, 8192)

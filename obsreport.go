@@ -64,32 +64,13 @@ func PublishGuardReports(reg *Registry, reports []*guard.Report) {
 	}
 }
 
-// PublishTierStats folds per-region guard-sampling tier records into
-// the registry under "adapt.loop<ID>.*" names: the current sampling
-// stride as a gauge (1 = full guarding) plus counters for the tier
-// transitions.
-func PublishTierStats(reg *Registry, tiers []TierStats) {
-	for _, t := range tiers {
-		p := fmt.Sprintf("adapt.loop%d.", t.Loop)
-		reg.Gauge(p + "sample_k").Set(int64(t.K))
-		reg.Gauge(p + "clean_streak").Set(int64(t.CleanStreak))
-		reg.Counter(p + "suspicions").Add(int64(t.Suspicions))
-		reg.Counter(p + "escalations").Add(int64(t.Escalations))
-		reg.Counter(p + "promotions").Add(int64(t.Promotions))
-		reg.Counter(p + "tier_violations").Add(int64(t.Violations))
-	}
-}
-
 // PublishAdaptiveStats folds an adaptive run's ladder state into the
-// registry: per-region tiers, the per-site-pair strike tallies of the
-// final attempt ("adapt.strikes.<pair>"), the re-expansion count, and
-// the chosen layout/copy count.
+// registry: the per-site-pair strike tallies of the final attempt
+// ("adapt.strikes.<pair>"), the re-expansion count, and the chosen
+// layout/copy count.
 func PublishAdaptiveStats(reg *Registry, res *AdaptiveResult) {
 	if res == nil {
 		return
-	}
-	if res.Final != nil {
-		PublishTierStats(reg, res.Final.Tiers)
 	}
 	for pair, n := range res.Strikes {
 		reg.Counter("adapt.strikes." + pair).Add(int64(n))
