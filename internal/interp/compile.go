@@ -49,7 +49,7 @@ type cconv func(v value) value
 type compiledFunc struct {
 	fn   *ast.FuncDecl
 	body cstmt
-	// nregs is the register-file size callCompiled allocates for the
+	// nregs is the register-file size callCompiled reserves for the
 	// frame; 0 unless the optimizing compiler promoted something.
 	nregs int
 	// pparams maps argument positions to the register slots of

@@ -904,15 +904,23 @@ func (c *compiler) compileCall(x *ast.Call) cexpr {
 		}
 		return func(t *thread, f *frame) value {
 			t.counters[CatWork]++
-			args := make([]value, n)
+			var buf [stackArgs]value
+			args := buf[:]
+			if n > stackArgs {
+				args = make([]value, n)
+			}
 			for i, ca := range cargs {
 				args[i] = convs[i](ca(t, f))
 			}
-			return t.callCompiled(cf, args, pos)
+			return t.callCompiled(cf, args[:n], pos)
 		}
 	}
 	return c.compileBuiltin(x)
 }
+
+// stackArgs is the largest argument count a call passes in a buffer on
+// the Go stack; longer argument lists are heap-allocated.
+const stackArgs = 8
 
 func (c *compiler) compileBuiltin(x *ast.Call) cexpr {
 	sym := x.Fun.Sym

@@ -299,6 +299,7 @@ func (c *compiler) compileWhile(x *ast.While) cstmt {
 	h := c.hooks
 	if h == nil {
 		return func(t *thread, f *frame) ctrl {
+			mark := t.sp
 			for {
 				// Loop back-edges are cancellation safe points, so a
 				// cancelled region (sibling fault, watchdog timeout) can
@@ -316,7 +317,10 @@ func (c *compiler) compileWhile(x *ast.While) cstmt {
 				if cc == ctrlReturn {
 					return cc
 				}
+				// Release the iteration's temporaries (struct results).
+				t.sp = mark
 			}
+			t.sp = mark
 			return ctrlNext
 		}
 	}
@@ -324,6 +328,7 @@ func (c *compiler) compileWhile(x *ast.While) cstmt {
 		if t.isMain && h.LoopEnter != nil {
 			h.LoopEnter(id)
 		}
+		mark := t.sp
 		var iter int64
 		for {
 			if t.cancel != nil && t.cancel.Load() {
@@ -343,7 +348,9 @@ func (c *compiler) compileWhile(x *ast.While) cstmt {
 			if cc == ctrlReturn {
 				return cc
 			}
+			t.sp = mark
 		}
+		t.sp = mark
 		if t.isMain && h.LoopExit != nil {
 			h.LoopExit(id)
 		}
@@ -358,6 +365,7 @@ func (c *compiler) compileDoWhile(x *ast.DoWhile) cstmt {
 	h := c.hooks
 	if h == nil {
 		return func(t *thread, f *frame) ctrl {
+			mark := t.sp
 			for {
 				if t.cancel != nil && t.cancel.Load() {
 					panic(regionCanceled{}) // cancelled region safe point
@@ -372,7 +380,9 @@ func (c *compiler) compileDoWhile(x *ast.DoWhile) cstmt {
 				if !test(t, f) {
 					break
 				}
+				t.sp = mark // release the iteration's temporaries
 			}
+			t.sp = mark
 			return ctrlNext
 		}
 	}
@@ -380,6 +390,7 @@ func (c *compiler) compileDoWhile(x *ast.DoWhile) cstmt {
 		if t.isMain && h.LoopEnter != nil {
 			h.LoopEnter(id)
 		}
+		mark := t.sp
 		var iter int64
 		for {
 			if t.cancel != nil && t.cancel.Load() {
@@ -399,7 +410,9 @@ func (c *compiler) compileDoWhile(x *ast.DoWhile) cstmt {
 			if !test(t, f) {
 				break
 			}
+			t.sp = mark
 		}
+		t.sp = mark
 		if t.isMain && h.LoopExit != nil {
 			h.LoopExit(id)
 		}
@@ -477,6 +490,10 @@ func (c *compiler) compileSeqFor(x *ast.For) cstmt {
 		if h != nil && t.isMain && h.LoopEnter != nil {
 			h.LoopEnter(id)
 		}
+		// Each iteration releases its temporaries (struct results of
+		// the condition, body and post expression) down to the stack
+		// top after the initializer.
+		iterMark := t.sp
 		var iter int64
 		for {
 			if t.cancel != nil && t.cancel.Load() {
@@ -508,6 +525,7 @@ func (c *compiler) compileSeqFor(x *ast.For) cstmt {
 			if post != nil {
 				post(t, f)
 			}
+			t.sp = iterMark
 		}
 		if h != nil && t.isMain && h.LoopExit != nil {
 			h.LoopExit(id)
@@ -561,6 +579,7 @@ func (c *compiler) compileTracedFor(x *ast.For) cstmt {
 				return cc
 			}
 		}
+		iterMark := t.sp
 		var iter int64
 		for {
 			if cond != nil && !trc(cond(t, f)) {
@@ -581,6 +600,7 @@ func (c *compiler) compileTracedFor(x *ast.For) cstmt {
 			if post != nil {
 				post(t, f)
 			}
+			t.sp = iterMark
 		}
 		return ctrlNext
 	}

@@ -81,15 +81,28 @@ int main() {
 }
 
 func TestStackOverflowDetected(t *testing.T) {
-	err := runErr(t, `
+	cases := []struct{ name, src, want string }{
+		{"large frames", `
 int boom(int n) {
     int pad[512];
     pad[0] = n;
     return boom(n + 1) + pad[0];
 }
-int main() { return boom(0); }`, Options{StackSize: 1 << 16})
-	if err == nil || !strings.Contains(err.Error(), "stack overflow") {
-		t.Fatalf("err = %v", err)
+int main() { return boom(0); }`, "stack overflow (2048-byte frame"},
+		// A function with no parameters and no locals reserves no
+		// simulated stack; the call-depth bound (StackSize/8 = 8192
+		// here) stops it before the Go stack overflows.
+		{"frameless", `
+int g() { return g(); }
+int main() { return g(); }`, "stack overflow (call depth 8193)"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			err := runErr(t, tc.src, Options{StackSize: 1 << 16})
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("err = %v, want %q", err, tc.want)
+			}
+		})
 	}
 }
 

@@ -416,13 +416,17 @@ type region struct {
 }
 
 // runWorker runs worker w's part of region r on a copy of the spawning
-// frame f. The schedule only decides which ranges of iterations w
-// claims; runIters runs each. Dispatch is charged one CatSync op per
-// DOALL worker here and one per DOACROSS iteration in runIters, under
-// every policy, so counters do not depend on the schedule.
+// frame f, the bottom record of w's own frame stack. f stays live
+// while the spawning thread waits for the region, and the copy keeps
+// no register file: promotion is off for every symbol a parallel loop
+// mentions (see promotableSlots). The schedule only decides which
+// ranges of iterations w claims; runIters runs each. Dispatch is
+// charged one CatSync op per DOALL worker here and one per DOACROSS
+// iteration in runIters, under every policy, so counters do not depend
+// on the schedule.
 func (w *thread) runWorker(r *region, f *frame) {
 	x := r.x
-	wf := &frame{fn: f.fn, slots: make([]int64, len(f.slots))}
+	wf := w.pushFrame(f.fn, len(f.slots), 0, x.Pos())
 	copy(wf.slots, f.slots)
 	// Private induction variable cell on the worker's stack.
 	wf.slots[x.IndVar.Index] = w.alloca(x.IndVar.Type.Size(), x.Pos())
@@ -449,11 +453,13 @@ func (w *thread) runWorker(r *region, f *frame) {
 
 // runIters runs iterations [lo, hi) of region r on worker w with frame
 // f. It returns false, at the safe point before an iteration, once a
-// sibling's fault has cancelled the region.
+// sibling's fault has cancelled the region. Like every loop, it
+// releases an iteration's stack temporaries when the iteration ends.
 func (w *thread) runIters(r *region, f *frame, lo, hi int64) bool {
 	x, lb, body := r.x, r.lb, r.body
 	pv := f.slots[x.IndVar.Index]
 	doacross := x.Par == ast.DOACROSS
+	mark := w.sp
 	for k := lo; k < hi; k++ {
 		if w.cancel.Load() {
 			return false
@@ -476,6 +482,7 @@ func (w *thread) runIters(r *region, f *frame, lo, hi int64) bool {
 		if r.order != nil && !w.posted {
 			w.syncPost()
 		}
+		w.sp = mark
 	}
 	return true
 }

@@ -50,6 +50,20 @@ type thread struct {
 
 	// retVal holds the value of an executed return statement.
 	retVal value
+	// retBuf carries a returned struct across finishCall's stack reset.
+	retBuf []byte
+
+	// The frame stack (see pushFrame): depth live activation records,
+	// whose slot tables and register files are bump-allocated from
+	// slotBuf and regBuf at slotTop and regTop. maxDepth is the call
+	// depth bound, StackSize/8.
+	frames   []frame
+	depth    int
+	maxDepth int
+	slotBuf  []int64
+	slotTop  int
+	regBuf   []value
+	regTop   int
 
 	// parallel marks threads executing inside a parallel loop; nested
 	// parallel loops then run sequentially, as with non-nested OpenMP.
@@ -67,7 +81,8 @@ func (m *Machine) newThread(tid int) (*thread, error) {
 	return &thread{
 		m: m, tid: tid,
 		stackBase: base, sp: base, stackEnd: base + m.opts.StackSize,
-		isMain: tid == 0 && !m.inParallel,
+		maxDepth: int(m.opts.StackSize / 8),
+		isMain:   tid == 0 && !m.inParallel,
 	}, nil
 }
 
@@ -112,19 +127,78 @@ type frame struct {
 	fn    *ast.FuncDecl
 	slots []int64
 	// regs holds the Go-native values of register-promoted scalars,
-	// indexed like slots. Allocated by callCompiled only when the
-	// optimizing compiler promoted something in this function; the
-	// promoted closures keep the backing memory in sync (writes go
-	// through), so regs[i] always equals a typed load of slots[i].
+	// indexed like slots; empty unless the optimizing compiler promoted
+	// something in this function. The promoted closures keep the
+	// backing memory in sync (writes go through), so regs[i] always
+	// equals a typed load of slots[i].
 	regs []value
+	// depth, slotBase and regBase are the thread's frame-stack tops
+	// below this frame; popFrame restores them.
+	depth, slotBase, regBase int
 }
 
-// bindArgs pushes a fresh activation record for fn and copies the
-// already-evaluated argument values into the parameter slots. Struct
-// arguments arrive as addresses and are copied by value.
-func (t *thread) bindArgs(fn *ast.FuncDecl, args []value, pos token.Pos) *frame {
-	f := &frame{fn: fn, slots: make([]int64, fn.NumSlots)}
-	for i, p := range fn.Params {
+// pushFrame takes the activation record at the thread's current call
+// depth, with nslots cleared slots and nregs cleared registers: a
+// cleared slot reads as "declaration not executed yet", and a promoted
+// register starts equal to its zeroed slot. Records, slot tables and
+// register files are reused from call to call, so a call allocates
+// nothing once the thread has been as deep before. The invariants:
+//
+//   - a frame is valid only until its call returns (popFrame); no hook
+//     or compiled closure keeps a *frame beyond the call it was passed
+//     to;
+//   - every thread, parallel workers included, owns its frame stack,
+//     so no frame is shared between threads; a worker reads the
+//     spawning frame's slots only while the spawning thread waits for
+//     the region to finish;
+//   - popFrame restores the tops saved in the frame rather than
+//     decrementing them, so a call abandoned by a contained panic
+//     leaves at worst unused records above the live ones.
+//
+// The buffers grow by allocating a larger array without copying:
+// live frames keep their slices into the old one, and entries of the
+// new array below depth are never read.
+func (t *thread) pushFrame(fn *ast.FuncDecl, nslots, nregs int, pos token.Pos) *frame {
+	if t.depth >= t.maxDepth {
+		// Also the bound for calls that reserve no simulated stack,
+		// whose recursion the alloca check never sees.
+		rterrf(pos, "stack overflow (call depth %d)", t.depth+1)
+	}
+	if t.depth == len(t.frames) {
+		t.frames = make([]frame, max(2*len(t.frames), 32))
+	}
+	f := &t.frames[t.depth]
+	f.fn, f.depth, f.slotBase, f.regBase = fn, t.depth, t.slotTop, t.regTop
+	t.depth++
+	if t.slotTop+nslots > len(t.slotBuf) {
+		t.slotBuf = make([]int64, max(2*len(t.slotBuf), t.slotTop+nslots, 256))
+	}
+	f.slots = t.slotBuf[t.slotTop : t.slotTop+nslots : t.slotTop+nslots]
+	clear(f.slots)
+	t.slotTop += nslots
+	f.regs = nil
+	if nregs > 0 {
+		if t.regTop+nregs > len(t.regBuf) {
+			t.regBuf = make([]value, max(2*len(t.regBuf), t.regTop+nregs, 64))
+		}
+		f.regs = t.regBuf[t.regTop : t.regTop+nregs : t.regTop+nregs]
+		clear(f.regs)
+		t.regTop += nregs
+	}
+	return f
+}
+
+// popFrame releases f, the innermost live activation record, and any
+// record a contained panic abandoned above it.
+func (t *thread) popFrame(f *frame) {
+	t.depth, t.slotTop, t.regTop = f.depth, f.slotBase, f.regBase
+}
+
+// bindArgs copies the already-evaluated argument values into fresh
+// parameter slots of f. Struct arguments arrive as addresses and are
+// copied by value.
+func (t *thread) bindArgs(f *frame, args []value, pos token.Pos) {
+	for i, p := range f.fn.Params {
 		size := p.Type.Size()
 		addr := t.alloca(size, pos)
 		f.slots[p.Sym.Index] = addr
@@ -145,20 +219,21 @@ func (t *thread) bindArgs(fn *ast.FuncDecl, args []value, pos token.Pos) *frame 
 			}
 		}
 	}
-	return f
 }
 
-// finishCall pops the activation record and materializes the call's
-// result value from the executed body's control outcome.
+// finishCall releases the callee's stack space and materializes the
+// call's result value from the executed body's control outcome.
 func (t *thread) finishCall(fn *ast.FuncDecl, mark int64, c ctrl, pos token.Pos) value {
 	if c == ctrlReturn && fn.Ret.Kind == ctypes.Struct {
 		// The returned struct may live in the callee frame; copy it
-		// out through a buffer before the stack region is reused.
+		// out through the thread's buffer before the stack region is
+		// reused. The copy is a temporary of the caller's statement,
+		// released with the enclosing block or loop iteration.
 		size := fn.Ret.Size()
-		buf := append([]byte(nil), t.m.mem.Bytes(t.retVal.I, size)...)
+		t.retBuf = append(t.retBuf[:0], t.m.mem.Bytes(t.retVal.I, size)...)
 		t.sp = mark
 		dst := t.alloca(size, pos)
-		copy(t.m.mem.Bytes(dst, size), buf)
+		copy(t.m.mem.Bytes(dst, size), t.retBuf)
 		return iv(dst)
 	}
 	t.sp = mark
@@ -171,19 +246,19 @@ func (t *thread) finishCall(fn *ast.FuncDecl, mark int64, c ctrl, pos token.Pos)
 }
 
 // callCompiled invokes a closure-compiled function with
-// already-evaluated argument values.
+// already-evaluated argument values. args is read before the body
+// runs and not kept, so callers may pass a buffer on their Go stack.
 func (t *thread) callCompiled(cf *compiledFunc, args []value, pos token.Pos) value {
 	mark := t.sp
-	f := t.bindArgs(cf.fn, args, pos)
-	if cf.nregs > 0 {
-		f.regs = make([]value, cf.nregs)
-		// Promoted parameters start life holding their bound argument
-		// (already converted to the parameter type by the call site).
-		for _, pp := range cf.pparams {
-			f.regs[pp.slot] = args[pp.arg]
-		}
+	f := t.pushFrame(cf.fn, cf.fn.NumSlots, cf.nregs, pos)
+	t.bindArgs(f, args, pos)
+	// Promoted parameters start life holding their bound argument
+	// (already converted to the parameter type by the call site).
+	for _, pp := range cf.pparams {
+		f.regs[pp.slot] = args[pp.arg]
 	}
 	c := cf.body(t, f)
+	t.popFrame(f)
 	return t.finishCall(cf.fn, mark, c, pos)
 }
 

@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -283,6 +284,28 @@ func TestRuntimeFaultIsStructured(t *testing.T) {
 	}
 	if e := decodeErr(t, body); e.Code != CodeRuntime {
 		t.Fatalf("code %q, want runtime_error", e.Code)
+	}
+}
+
+// TestRunawayRecursionIsStructured sends a recursion through a function
+// that reserves no simulated stack, which the simulated stack's
+// overflow check never sees. The call-depth bound turns it into a
+// structured runtime error before the Go stack overflows, a fatal error
+// that no recover catches, and the server keeps serving.
+func TestRunawayRecursionIsStructured(t *testing.T) {
+	_, ts := testServer(t, Config{})
+	resp, body := postRun(t, ts.URL, Request{
+		Source: `int g() { return g(); } int main() { return g(); }`,
+	})
+	if resp.StatusCode != http.StatusUnprocessableEntity {
+		t.Fatalf("status %d, body %s", resp.StatusCode, body)
+	}
+	if e := decodeErr(t, body); e.Code != CodeRuntime || !strings.Contains(e.Detail, "stack overflow (call depth") {
+		t.Fatalf("error %+v, want a runtime_error naming the call depth", e)
+	}
+	resp, body = postRun(t, ts.URL, Request{Source: seqSrc})
+	if r := decodeOK(t, resp, body); r.Output != "42\n" {
+		t.Fatalf("next request: output %q", r.Output)
 	}
 }
 

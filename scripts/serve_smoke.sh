@@ -4,9 +4,10 @@
 # observability surfaces work against real sockets (every request is
 # traced: a generated request ID and an inbound X-Request-ID are both
 # followable to /debug/traces/{id}; /metrics renders parseable
-# Prometheus exposition with the runtime's families), a burst beyond
-# capacity sheds with structured 429s, and SIGTERM drains in-flight
-# work and exits 0. CI runs this after the unit suites; it needs only
+# Prometheus exposition with the runtime's families), a runaway
+# recursion ends in a structured error without killing the server, a
+# burst beyond capacity sheds with structured 429s, and SIGTERM drains
+# in-flight work and exits 0. CI runs this after the unit suites; it needs only
 # curl and a free port.
 set -euo pipefail
 
@@ -127,7 +128,25 @@ grep -q "\"$REQ_ID\"" "$TMP/trace.json"
 curl -fsS "$BASE/debug/traces" | grep -q "\"$REQ_ID\""
 echo "serve_smoke: X-Request-ID followable to /debug/traces/$REQ_ID"
 
-# 4. A burst beyond capacity (2 running + 2 queued) sheds the excess
+# 4. A runaway recursion through a function that reserves no
+# simulated stack hits the interpreter's call-depth bound: the request
+# gets a structured runtime error, and gdsxd stays up. Without the
+# bound the Go stack overflows, a fatal error that kills the process.
+# A dead server makes curl fail: report its status, 000, instead of
+# letting set -e end the script silently.
+code=$(post 'int g() { return g(); } int main() { return g(); }' "$TMP/runaway.json" || true)
+if [ "$code" != 422 ] || ! grep -q '"runtime_error"' "$TMP/runaway.json" \
+    || ! grep -q 'call depth' "$TMP/runaway.json"; then
+    echo "serve_smoke: FAIL: runaway recursion: status $code: $(cat "$TMP/runaway.json" 2>/dev/null)" >&2
+    exit 1
+fi
+if ! curl -fsS "$BASE/healthz" >/dev/null; then
+    echo "serve_smoke: FAIL: gdsxd down after a runaway recursion" >&2
+    exit 1
+fi
+echo "serve_smoke: runaway recursion -> 422 runtime_error, gdsxd still healthy"
+
+# 5. A burst beyond capacity (2 running + 2 queued) sheds the excess
 # with structured 429 queue_full responses; nothing crashes. Waits on
 # the curl pids explicitly — a bare wait would block on gdsxd forever.
 BURST_PIDS=()
@@ -156,7 +175,7 @@ if [ "$ok" -eq 0 ] || [ "$shed" -eq 0 ]; then
 fi
 echo "serve_smoke: burst of 16 -> $ok served, $shed shed as 429 queue_full"
 
-# 5. SIGTERM drains: an in-flight request completes, new work is
+# 6. SIGTERM drains: an in-flight request completes, new work is
 # refused, and the process exits 0.
 post "$SLOW_SRC2" "$TMP/drain.json" >"$TMP/drain.code" &
 CURL_PID=$!
