@@ -17,10 +17,14 @@
 //
 // During a parallel region every thread appends its sited accesses to
 // a private log of fixed-size pooled chunks — the no-violation path
-// takes zero shared-cache-line writes. At the region's end — the safe
-// point — the logs are merged in iteration order (reconstructing the
-// sequential schedule, under any scheduling policy) and replayed
-// against two byte-granular shadows:
+// takes zero shared-cache-line writes. A logged access is one 16-byte
+// record (address, site, and the size packed with the store, definition
+// and ordered flags); the iteration and the thread are written once per
+// per-iteration segment header. At the region's end — the safe point —
+// the segment headers are sorted into iteration order (reconstructing
+// the sequential schedule, under any scheduling policy), a 4-byte order
+// index maps every merged position to its segment, and the records are
+// replayed in place against two byte-granular shadows:
 //
 //   - a canonical shadow, indexed by de-expanded addresses, which
 //     detects reads whose sequential data source was another
@@ -34,12 +38,18 @@
 //     that no ordered section serializes (unsynchronized-conflict) —
 //     the dependences the profiled DDG missed.
 //
+// The replay resolves an access's expanded-structure note once per
+// access, not once per byte, and skips loads on pages that no store or
+// definition of the region touches and no region-start note overlaps:
+// such a load can fail no check and feeds none (see replay).
+//
 // A detected violation aborts the run via interp.Abort from the
 // ParallelEnd hook; the driver then discards the expanded run and
 // re-executes the native program sequentially.
 package guard
 
 import (
+	"math"
 	"sort"
 	"sync"
 
@@ -47,6 +57,7 @@ import (
 	"gdsx/internal/interp"
 	"gdsx/internal/obs"
 	"gdsx/internal/sema"
+	"gdsx/internal/shadow"
 )
 
 // Config configures a Monitor.
@@ -74,10 +85,10 @@ type Config struct {
 	// report (the total count is always exact). Default 16.
 	MaxViolations int
 
-	// Obs optionally receives the monitor's observability feed: a
-	// guard-verdict trace event per safe-point replay, per-thread
-	// log-size histograms, and replay/violation counters. Nil disables
-	// the feed.
+	// Obs optionally receives the monitor's observability feed:
+	// guard-replay and guard-verdict trace events per safe-point
+	// replay, per-thread log-size histograms, and replay, event and
+	// violation counters. Nil disables the feed.
 	Obs *obs.Observer
 }
 
@@ -110,18 +121,24 @@ type Monitor struct {
 
 	// chunkPool recycles sealed log chunks across regions (guarded by
 	// mu); steady-state logging allocates nothing.
-	chunkPool [][]interp.Access
+	chunkPool [][]rec
 
-	// Replay scratch, reused across safe points: the merged event
-	// buffer, the segment table it is built from, and the two shadows,
-	// whose epoch tag makes prior regions' contents invisible without
-	// clearing a byte.
-	merged []interp.Access
-	seqs   []int32
-	segs   []logSeg
-	raw    epochShadow
-	can    epochShadow
-	epoch  uint32
+	// Replay scratch, reused across safe points: the merged segment
+	// table, the order index built from it, the working copy of the
+	// region's notes, the page stamps of the read-only-page filter and
+	// the two shadows, whose epoch tag (shared with the page stamps)
+	// makes prior regions' contents invisible without clearing a byte.
+	segs    []seg
+	ord     []int32
+	noteBuf []note
+	written []uint32
+	raw     shadow.Table[rawCell]
+	can     shadow.Table[canCell]
+	epoch   uint32
+
+	// replayed is the number of accesses the last safe point replayed:
+	// the logged ones minus the loads the page filter dropped.
+	replayed int64
 
 	// reports accumulates every violation the monitor detected, in
 	// region order. With region-scoped recovery a run can survive
@@ -129,28 +146,81 @@ type Monitor struct {
 	reports []*Report
 }
 
-// logChunkCap is the event capacity of one log chunk. Fixed-size
-// chunks replace a growing slice so logging never pays the copy-and-
-// clear of slice growth: a full chunk is sealed and a fresh one drawn
-// from the pool.
-const logChunkCap = 4096
-
-// tlog is one thread's append-only access log: the active chunk plus
-// the sealed chunks preceding it. Only the owning thread appends, so
-// the append path is lock-free; the monitor's mutex is taken once per
-// logChunkCap events to draw a chunk from the pool.
-type tlog struct {
-	cur  []interp.Access
-	full [][]interp.Access
+// rec is one logged access in 16 bytes. meta packs the access size
+// above the store, definition and ordered flags; an access whose size
+// does not fit the packed field, or whose site does not fit site, has
+// recWide there and its site and size in the thread's side table. An
+// access of any size stays one record, because a report counts one
+// violation per access and rule.
+type rec struct {
+	addr int64
+	site int32
+	meta uint32
 }
 
-// count returns the number of events the log holds.
-func (l *tlog) count() int {
-	n := len(l.cur)
-	for _, c := range l.full {
-		n += len(c)
+// Record flags and the packed size field.
+const (
+	recStore   = 1 << 0
+	recDef     = 1 << 1
+	recOrdered = 1 << 2
+	recShift   = 3
+	recWide    = math.MaxUint32 >> recShift
+)
+
+// wideAcc is a side-table entry: the site and size of a record whose
+// meta holds recWide.
+type wideAcc struct {
+	site int
+	size int64
+}
+
+// seg is the header of one per-iteration segment: a run of
+// consecutive records one thread logged for one iteration, within one
+// chunk. The logging thread writes iter and start; mergeLogs fills in
+// the rest. seq orders a thread's segments by logging time, so sorting
+// by (iter, tid, seq) reconstructs the sequential schedule even when
+// work stealing makes a thread's iteration numbers non-monotonic.
+type seg struct {
+	iter  int64
+	start int32 // thread-local index of the first record
+	n     int32 // records in the segment
+	pos   int32 // merged position of the first record
+	tid   int32
+	seq   int32
+}
+
+// logChunkCap is the record capacity of one log chunk (64 KiB).
+// Fixed-size chunks replace a growing slice so logging never pays the
+// copy-and-clear of slice growth: a full chunk is sealed and a fresh
+// one drawn from the pool. Every sealed chunk is full, so a thread's
+// record i lies in chunk i>>logChunkBits.
+const (
+	logChunkBits = 12
+	logChunkCap  = 1 << logChunkBits
+)
+
+// tlog is one thread's append-only access log: the active chunk, the
+// sealed chunks preceding it, the segment headers and the side table
+// of wide records. Only the owning thread appends, so the append path
+// is lock-free; the monitor's mutex is taken once per logChunkCap
+// records to draw a chunk from the pool.
+type tlog struct {
+	cur  []rec
+	full [][]rec
+	iter int64 // iteration of the open segment
+	segs []seg
+	wide map[int32]wideAcc
+}
+
+// count returns the number of records the log holds.
+func (l *tlog) count() int { return len(l.full)*logChunkCap + len(l.cur) }
+
+// chunk returns the chunk that holds thread-local record i.
+func (l *tlog) chunk(i int32) []rec {
+	if c := int(i >> logChunkBits); c < len(l.full) {
+		return l.full[c]
 	}
-	return n
+	return l.cur
 }
 
 // New creates a Monitor.
@@ -252,17 +322,44 @@ func (m *Monitor) observe(ev interp.Access) {
 		return
 	}
 	l := &m.tlogs[ev.Tid]
+	if len(l.cur) == cap(l.cur) || ev.Iter != l.iter {
+		m.openSeg(l, ev.Iter)
+	}
+	r := rec{addr: ev.Addr, site: int32(ev.Site), meta: uint32(ev.Size) << recShift}
+	if uint64(ev.Size) >= recWide || int(r.site) != ev.Site {
+		if l.wide == nil {
+			l.wide = map[int32]wideAcc{}
+		}
+		l.wide[int32(l.count())] = wideAcc{site: ev.Site, size: ev.Size}
+		r.meta = recWide << recShift
+	}
+	if ev.Store {
+		r.meta |= recStore
+	}
+	if ev.Def {
+		r.meta |= recDef
+	}
+	if ev.Ordered {
+		r.meta |= recOrdered
+	}
+	l.cur = append(l.cur, r)
+}
+
+// openSeg starts a segment for iteration iter, sealing the active
+// chunk first when it is full, so no segment spans two chunks.
+func (m *Monitor) openSeg(l *tlog, iter int64) {
 	if len(l.cur) == cap(l.cur) {
 		if l.cur != nil {
 			l.full = append(l.full, l.cur)
 		}
 		l.cur = m.getChunk()
 	}
-	l.cur = append(l.cur, ev)
+	l.iter = iter
+	l.segs = append(l.segs, seg{iter: iter, start: int32(l.count())})
 }
 
 // getChunk draws an empty chunk from the pool (or allocates one).
-func (m *Monitor) getChunk() []interp.Access {
+func (m *Monitor) getChunk() []rec {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if n := len(m.chunkPool); n > 0 {
@@ -270,7 +367,7 @@ func (m *Monitor) getChunk() []interp.Access {
 		m.chunkPool = m.chunkPool[:n-1]
 		return c
 	}
-	return make([]interp.Access, 0, logChunkCap)
+	return make([]rec, 0, logChunkCap)
 }
 
 // recycleLogs returns every chunk of the region's logs to the pool and
@@ -286,7 +383,7 @@ func (m *Monitor) recycleLogs() {
 		if l.cur != nil {
 			m.chunkPool = append(m.chunkPool, l.cur[:0])
 		}
-		l.cur, l.full = nil, nil
+		l.cur, l.full, l.segs, l.wide = nil, nil, l.segs[:0], nil
 	}
 	m.mu.Unlock()
 }
@@ -311,8 +408,10 @@ func (m *Monitor) parallelEnd(loopID int) {
 }
 
 // emitVerdict publishes the outcome of one safe-point replay: a
-// guard-verdict trace event (labelled "clean" or with the first
-// violation's rule) plus replay/log-size/violation metrics. It runs
+// guard-replay trace event with the accesses replayed and the loads
+// the page filter dropped, a guard-verdict trace event (labelled
+// "clean" or with the first violation's rule) and the
+// replay/log-size/violation metrics. It runs
 // before the violation panic, so an aborted region's verdict is still
 // recorded.
 func (m *Monitor) emitVerdict(loopID int, rep *Report) {
@@ -329,6 +428,9 @@ func (m *Monitor) emitVerdict(loopID int, rep *Report) {
 	}
 	o.Counter("guard.replays").Inc()
 	o.Counter("guard.events_logged").Add(logged)
+	o.Counter("guard.events_replayed").Add(m.replayed)
+	o.Emit(obs.Event{Name: "guard-replay", Ph: 'i', Loop: loopID, Iter: -1,
+		V1: m.replayed, V2: logged - m.replayed})
 	label := "clean"
 	var total int64
 	if rep != nil {
@@ -360,29 +462,27 @@ func (m *Monitor) parallelCancel(loopID int) {
 	}
 }
 
-// canonical maps a concrete address to its de-expanded (canonical)
-// address and copy index. ok is false for addresses outside every
-// expanded structure.
-func canonical(notes []note, nt int, a int64) (canon int64, copy int, ok bool) {
-	i := sort.Search(len(notes), func(i int) bool { return notes[i].base > a }) - 1
-	if i < 0 {
-		return 0, 0, false
-	}
-	n := notes[i]
+// canonicalIn maps address a, at or above n's base, to its
+// de-expanded (canonical) address and copy index; ok is false past the
+// end of n's copies. room counts the bytes from a to the end of its
+// element (interleaved) or copy (bonded): they map to consecutive
+// canonical addresses in the same copy.
+func canonicalIn(n note, nt int, a int64) (canon int64, copy int, room int64, ok bool) {
 	if a >= n.base+n.span*int64(nt) {
-		return 0, 0, false
+		return 0, 0, 0, false
 	}
 	off := a - n.base
 	if n.esz > 0 {
 		// Interleaved: element i of copy t at base + (i*nt + t)*esz.
-		copy = int((off / n.esz) % int64(nt))
-		canon = n.base + (off/(n.esz*int64(nt)))*n.esz + off%n.esz
-		return canon, copy, true
+		e := off / n.esz
+		in := off - e*n.esz
+		row := e / int64(nt)
+		return n.base + row*n.esz + in, int(e - row*int64(nt)), n.esz - in, true
 	}
 	// Bonded: copy t spans [base + t*span, base + (t+1)*span).
-	copy = int(off / n.span)
-	canon = n.base + off%n.span
-	return canon, copy, true
+	k := off / n.span
+	in := off - k*n.span
+	return n.base + in, int(k), n.span - in, true
 }
 
 // dropStale removes notes overlapped by a definition of fresh storage

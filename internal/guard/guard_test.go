@@ -11,6 +11,7 @@ import (
 
 	"gdsx/internal/ddg"
 	"gdsx/internal/interp"
+	"gdsx/internal/obs"
 )
 
 // runRegion feeds one parallel region through the monitor and returns
@@ -231,6 +232,8 @@ func TestCanonicalInterleaved(t *testing.T) {
 	// Interleaved layout: element i of copy t at base + (i*nt + t)*esz.
 	notes := []note{{base: 4000, span: 32, esz: 8}} // 4 elements, 2 copies
 	nt := 2
+	var c noteCursor
+	c.reset()
 	for _, tc := range []struct {
 		addr  int64
 		canon int64
@@ -242,17 +245,39 @@ func TestCanonicalInterleaved(t *testing.T) {
 		{4024, 4008, 1}, // elem 1 copy 1
 		{4060, 4028, 1}, // last byte: elem 3 copy 1, offset 4
 	} {
-		canon, cp, ok := canonical(notes, nt, tc.addr)
+		canon, cp, ok := c.at(notes, nt, tc.addr)
 		if !ok || canon != tc.canon || cp != tc.copy {
-			t.Fatalf("canonical(%d) = (%d, %d, %v), want (%d, %d, true)",
+			t.Fatalf("at(%d) = (%d, %d, %v), want (%d, %d, true)",
 				tc.addr, canon, cp, ok, tc.canon, tc.copy)
 		}
 	}
-	if _, _, ok := canonical(notes, nt, 4064); ok {
+	if _, _, ok := c.at(notes, nt, 4064); ok {
 		t.Fatalf("address past the expanded range canonicalized")
 	}
-	if _, _, ok := canonical(notes, nt, 3999); ok {
+	if _, _, ok := c.at(notes, nt, 3999); ok {
 		t.Fatalf("address before the expanded range canonicalized")
+	}
+	// Whole accesses: one element of one copy maps in one step; one
+	// that crosses an element or the structure's edge goes byte by byte.
+	for _, tc := range []struct {
+		addr, size int64
+		mode       int
+		canon      int64
+		copy       int
+	}{
+		{4024, 8, inside, 4008, 1},
+		{4026, 4, inside, 4010, 1},
+		{4004, 8, mixed, 0, 0}, // elem 0 of copy 0, then of copy 1
+		{3996, 8, mixed, 0, 0}, // reaches into the structure
+		{4060, 8, mixed, 0, 0}, // runs past its end
+		{3900, 100, outside, 0, 0},
+		{4064, 16, outside, 0, 0},
+	} {
+		mode, canon, cp := c.resolve(notes, nt, tc.addr, tc.size)
+		if mode != tc.mode || canon != tc.canon || cp != tc.copy {
+			t.Fatalf("resolve(%d, %d) = (%d, %d, %d), want (%d, %d, %d)",
+				tc.addr, tc.size, mode, canon, cp, tc.mode, tc.canon, tc.copy)
+		}
 	}
 }
 
@@ -287,5 +312,72 @@ func TestViolationTotalAndDedup(t *testing.T) {
 	}
 	if len(rep.Violations) != 1 {
 		t.Fatalf("distinct %d, want 1 (same site pair)", len(rep.Violations))
+	}
+}
+
+func TestReplayCounters(t *testing.T) {
+	o := &obs.Observer{Metrics: obs.NewRegistry(), Trace: obs.NewTracer(0)}
+	m := New(Config{Threads: 2, Obs: o})
+	m.Hooks().Expand(0x50000, 16, 0)
+	def := access(14, 0x42000, 16, 1, 1, true)
+	def.Def = true
+	evs := []interp.Access{
+		access(10, 5000, 4, 0, 0, true),     // a store stamps its page
+		access(11, 5004, 4, 0, 0, false),    // replayed: its page holds a store
+		access(15, 0x50004, 4, 0, 0, false), // replayed: a note overlaps its page
+		access(12, 0x40000, 8, 1, 1, false), // dropped: nothing writes its page
+		def,                                 // a definition stamps its page
+		access(13, 0x41ffc, 8, 1, 1, false), // replayed: its second page is stamped
+		access(16, 0x40ffc, 4, 1, 1, false), // dropped: the page's last bytes
+	}
+	for region := 1; region <= 2; region++ {
+		if rep := runRegion(t, m, 2, evs); rep != nil {
+			t.Fatalf("region %d flagged: %s", region, rep)
+		}
+		logged := o.Metrics.Counter("guard.events_logged").Value()
+		replayed := o.Metrics.Counter("guard.events_replayed").Value()
+		if logged != int64(7*region) || replayed != int64(5*region) {
+			t.Fatalf("region %d: logged %d replayed %d, want %d and %d",
+				region, logged, replayed, 7*region, 5*region)
+		}
+	}
+	var got []obs.Event
+	for _, ev := range o.Trace.Events() {
+		if ev.Name == "guard-replay" {
+			got = append(got, ev)
+		}
+	}
+	if len(got) != 2 || got[1].V1 != 5 || got[1].V2 != 2 {
+		t.Fatalf("guard-replay events %+v, want two with 5 replayed and 2 dropped", got)
+	}
+}
+
+// TestWideAccessIsOneRecord: an access whose size or site does not fit
+// the record keeps both in the side table, stays one record, and a
+// violation names its full site.
+func TestWideAccessIsOneRecord(t *testing.T) {
+	m := New(Config{Threads: 2})
+	h := m.Hooks()
+	h.ParallelStart(1, 2)
+	big := access(10, 0x100000, recWide+7, 0, 0, false)
+	h.Observe(big)
+	m.mergeLogs()
+	if got := m.accessAt(1); got != big {
+		t.Fatalf("wide access read back as %+v, want %+v", got, big)
+	}
+	h.ParallelCancel(1)
+
+	const site = 1<<40 + 3
+	rep := runRegion(t, m, 2, []interp.Access{
+		access(10, 5000, 8, 0, 0, true),
+		access(site, 5000, 8, 1, 1, false),
+		big, // dropped by the page filter: nothing writes its pages
+	})
+	v := singleRule(t, rep, RuleConflict)
+	if rep.Total != 1 || v.Site != site || v.OtherSite != 10 {
+		t.Fatalf("report %+v, want one conflict of site %d with site 10", rep, site)
+	}
+	if m.replayed != 2 {
+		t.Fatalf("replayed %d accesses, want 2", m.replayed)
 	}
 }

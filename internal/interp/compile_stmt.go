@@ -131,7 +131,7 @@ func (c *compiler) compileStmt(s ast.Stmt) cstmt {
 
 	case *ast.SyncPost:
 		return c.tickStmt(pos, func(t *thread, f *frame) ctrl {
-			t.syncPost()
+			t.syncPost(pos)
 			return ctrlNext
 		})
 	}

@@ -35,6 +35,42 @@ func (t *thread) syncWait(pos token.Pos) {
 		return
 	}
 	t.counters[CatSync]++
+	t.awaitTurn(pos)
+	t.inOrdered = true
+}
+
+// syncPost releases the next iteration's ordered section. A post made
+// outside the ordered section — by an iteration that skipped it, or a
+// __sync_post with no __sync_wait before it — first waits for the
+// iteration's turn: storing the ticket early would move it past an
+// earlier iteration that has not reached its __sync_wait yet, and that
+// iteration would then wait forever.
+func (t *thread) syncPost(pos token.Pos) {
+	if t.ts != nil {
+		t.ts.postMark = t.counters[CatWork]
+		t.posted = true
+		return
+	}
+	if t.order == nil {
+		t.posted = true
+		t.inOrdered = false
+		return
+	}
+	t.counters[CatSync]++
+	if !t.inOrdered {
+		t.awaitTurn(pos)
+	}
+	t.order.ticket.Store(t.curIter + 1)
+	t.posted = true
+	t.inOrdered = false
+}
+
+// awaitTurn spins until the ordered-section ticket reaches the thread's
+// iteration. Every post waits for its turn, so the ticket passes an
+// iteration only once that iteration has posted; an iteration that
+// finds its ticket already passed is waiting for a section it released
+// itself, and raises an error rather than spinning forever.
+func (t *thread) awaitTurn(pos token.Pos) {
 	// Spinning executes no statements, so the per-statement MaxOps
 	// budget check cannot interrupt it: a program whose ordered sections never post
 	// (reachable under fuzzing) would hang forever. Bound the spin
@@ -46,7 +82,14 @@ func (t *thread) syncWait(pos token.Pos) {
 		spinMax = t.m.opts.MaxOps * 4
 	}
 	spins := int64(0)
-	for t.order.ticket.Load() != t.curIter {
+	for {
+		tk := t.order.ticket.Load()
+		if tk == t.curIter {
+			break
+		}
+		if tk > t.curIter {
+			rterrf(pos, "ordered section of iteration %d already released", t.curIter)
+		}
 		// A sibling worker may have faulted before posting its ticket;
 		// spinning on it would deadlock. The cancellation panic is
 		// swallowed by the worker's recover in runParallelFor. A
@@ -67,23 +110,4 @@ func (t *thread) syncWait(pos token.Pos) {
 		}
 	}
 	t.counters[CatWait] += spins
-	t.inOrdered = true
-}
-
-// syncPost releases the next iteration's ordered section.
-func (t *thread) syncPost() {
-	if t.ts != nil {
-		t.ts.postMark = t.counters[CatWork]
-		t.posted = true
-		return
-	}
-	if t.order == nil {
-		t.posted = true
-		t.inOrdered = false
-		return
-	}
-	t.counters[CatSync]++
-	t.order.ticket.Store(t.curIter + 1)
-	t.posted = true
-	t.inOrdered = false
 }

@@ -477,10 +477,10 @@ func (w *thread) runIters(r *region, f *frame, lo, hi int64) bool {
 		if r.iterEnd != nil {
 			r.iterEnd(x.ID, k, w.tid)
 		}
-		// An iteration that skipped its ordered section posts now, so
-		// later iterations are not blocked forever.
+		// An iteration that skipped its ordered section posts now, in
+		// its turn, so later iterations are not blocked forever.
 		if r.order != nil && !w.posted {
-			w.syncPost()
+			w.syncPost(x.Pos())
 		}
 		w.sp = mark
 	}

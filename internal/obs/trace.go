@@ -54,6 +54,10 @@ var eventSchemas = map[string]eventSchema{
 	// the total varies run to run while the verdict label (clean or the
 	// first violation's rule) and the logged event count do not.
 	"guard-verdict": {v1: "logged", v2: "violations", v1Canon: true},
+	// The replay's page filter drops loads on pages no store touches;
+	// racing in-region allocations move stores between pages, so the
+	// split between replayed and dropped accesses is not canonical.
+	"guard-replay": {v1: "replayed", v2: "dropped"},
 	// Snapshot page/byte totals depend on which pages the region dirtied;
 	// racing in-region allocations make the concrete page set (and hence
 	// both values) nondeterministic at n > 1, so neither is canonical.
