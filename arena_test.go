@@ -10,9 +10,11 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"os"
 	"reflect"
 	"runtime"
 	"slices"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -499,4 +501,49 @@ int main() {
 		}
 		t.Fatalf("pool holds capacities %v, want the 8 MiB arena then the reused default one", caps)
 	}
+}
+
+// The pool as the package's initialization left it, with GOMAXPROCS
+// and the process's resident set at that point: taken before any test
+// runs, since the tests take and return arenas. Reading arenas orders
+// this initializer after the pool's.
+var startPool, startProcs, startRSS = func() (int, int, int64) {
+	arenas.Lock()
+	defer arenas.Unlock()
+	return len(arenas.free), runtime.GOMAXPROCS(0), residentBytes()
+}()
+
+// residentBytes returns the process's resident set in bytes, or -1
+// where /proc/self/statm cannot be read.
+func residentBytes() int64 {
+	b, err := os.ReadFile("/proc/self/statm")
+	if err != nil {
+		return -1
+	}
+	f := strings.Fields(string(b))
+	if len(f) < 2 {
+		return -1
+	}
+	pages, err := strconv.ParseInt(f[1], 10, 64)
+	if err != nil {
+		return -1
+	}
+	return pages * int64(os.Getpagesize())
+}
+
+// TestPoolStartsWithUntouchedArenas: the pool starts with
+// min(2, GOMAXPROCS) default-capacity arenas, allocated before the heap
+// was ever collected, so the runtime did not clear them and their
+// 64 MiB each are not resident until runs write them.
+func TestPoolStartsWithUntouchedArenas(t *testing.T) {
+	if want := min(2, startProcs); startPool != want {
+		t.Fatalf("the pool started with %d arenas at GOMAXPROCS=%d, want %d", startPool, startProcs, want)
+	}
+	if startRSS < 0 {
+		t.Skip("no /proc/self/statm to read the resident set from")
+	}
+	if startRSS >= 64<<20 {
+		t.Fatalf("%d MiB resident after initialization: the runtime cleared the initial arenas", startRSS>>20)
+	}
+	t.Logf("%d arenas, %.1f MiB resident after initialization", startPool, float64(startRSS)/(1<<20))
 }

@@ -163,13 +163,42 @@ func NewMemory(size int64) *Memory {
 // arenas is the free list behind every entry point that owns a run's
 // lifetime (Program.Run, GuardedRunPrecompiled, Program.ProfileLoop,
 // RunRuntimePrivatized and the calls built on them) when
-// RunOptions.Memory is nil: a fresh arena zeroes its whole capacity, a
+// RunOptions.Memory is nil: a fresh arena reads zero throughout, a
 // pooled one was wiped only up to its last run's address watermark. It
 // holds at most GOMAXPROCS arenas; a sync.Pool would be emptied by two
 // collections.
-var arenas struct {
+//
+// The list starts with min(2, GOMAXPROCS) default-capacity arenas,
+// allocated while the package initializes. The Go runtime clears a
+// large allocation only when it lands on heap pages in use before; at
+// initialization the heap is a few hundred KB and has never been
+// collected, so these arenas come from untouched pages and cost only
+// the pages runs write. An arena allocated later can land on pages a
+// collection freed, and then the runtime clears, and makes resident,
+// all 64 MiB of it: whether it does depends on the heap's layout at
+// that moment, and it moved a cold process's peak RSS by 61 MB from
+// one start to the next. Two arenas cover a caller that runs one
+// program at a time and two overlapping runs. Every arena counts
+// toward the collector's heap goal, touched or not, so the list does
+// not start fuller.
+var arenas = struct {
 	sync.Mutex
 	free []*Memory // the most recently returned last
+}{free: initialArenas()}
+
+// initialArenas allocates the arenas the pool starts with, all from
+// one backing array: the collection that a large allocation triggers
+// runs after it, and a second allocation would come after that
+// collection, on a heap that may hold freed pages.
+func initialArenas() []*Memory {
+	const size = 64 << 20
+	n := min(2, runtime.GOMAXPROCS(0))
+	backing := make([]byte, n*size)
+	free := make([]*Memory, n)
+	for i := range free {
+		free[i] = mem.Over(backing[i*size : (i+1)*size : (i+1)*size])
+	}
+	return free
 }
 
 // poolArena sets o.Memory, when the caller supplied none, to the most

@@ -152,11 +152,13 @@ func (ob *memObs) noteAlloc(size, live int64) {
 }
 
 // New creates a memory of the given capacity in bytes.
-func New(capacity int64) *Memory {
-	m := &Memory{
-		data: make([]byte, capacity),
-	}
-	m.freeList = []Block{{Base: NullGuard, Size: capacity - NullGuard}}
+func New(capacity int64) *Memory { return Over(make([]byte, capacity)) }
+
+// Over creates a memory whose bytes are data, which must read zero.
+// The memory owns data from then on; its capacity is len(data).
+func Over(data []byte) *Memory {
+	m := &Memory{data: data}
+	m.freeList = []Block{{Base: NullGuard, Size: int64(len(data)) - NullGuard}}
 	return m
 }
 
