@@ -195,3 +195,61 @@ func TestGuardBothEngines(t *testing.T) {
 		}
 	}
 }
+
+// TestNestedOrderedConflictGuarded runs a DOACROSS loop with an
+// ordered section nested in a DOALL loop whose iterations all update
+// the same global. A worker runs the nested loop sequentially, so its
+// sections order nothing across the outer iterations, and the guard
+// must see the conflict. Marking the nested sections' accesses as
+// ordered hid it: every 4-thread guarded run printed wrong output with
+// no violation. With and without region recovery, output is native at
+// every thread count under both schedulers, and from 2 threads up a
+// violation is reported. The program races by design until the guard
+// acts, and simulated memory is a plain byte slice, so the Go race
+// detector reports those races: the race steps leave this test out
+// (TestOrderedSectionNested checks the ordered flag race-free).
+func TestNestedOrderedConflictGuarded(t *testing.T) {
+	const src = `
+long shared;
+long out[16];
+int main() {
+    int i;
+    parallel for (i = 0; i < 16; i++) {
+        int j;
+        parallel doacross for (j = 0; j < 4; j++) {
+            shared = shared * 3 + i + j;
+        }
+        out[i] = i;
+    }
+    print_long(shared);
+    return 0;
+}`
+	prog, err := Compile("nested.c", src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := sequentialOutput(t, prog)
+	tr, err := Transform(prog, TransformOptions{Guard: true})
+	if err != nil {
+		t.Fatalf("transform: %v", err)
+	}
+	for _, sc := range parityScheds {
+		for _, nt := range guardThreads {
+			for _, rec := range []*RecoverySpec{nil, {}} {
+				res, err := GuardedRunPrecompiled(prog, tr, tr.Expanded,
+					RunOptions{Threads: nt, Sched: sc.pol, Recover: rec})
+				if err != nil {
+					t.Fatalf("%s threads=%d recover=%v: %v", sc.name, nt, rec != nil, err)
+				}
+				if res.Result.Output != want {
+					t.Fatalf("%s threads=%d recover=%v: output %q, want native %q",
+						sc.name, nt, rec != nil, res.Result.Output, want)
+				}
+				if nt >= 2 && res.Violation == nil {
+					t.Errorf("%s threads=%d recover=%v: the conflict was not reported",
+						sc.name, nt, rec != nil)
+				}
+			}
+		}
+	}
+}

@@ -6,11 +6,7 @@ import (
 
 	"gdsx/internal/guard"
 	"gdsx/internal/interp"
-	"gdsx/internal/rtpriv"
 )
-
-// CommStats re-exports the commutative privatizer's statistics.
-type CommStats = rtpriv.CommStats
 
 // GuardedResult is the outcome of a guarded parallel execution.
 type GuardedResult struct {
@@ -39,20 +35,6 @@ type GuardedResult struct {
 	// Regions holds the per-region recovery health records (rollbacks,
 	// demotions, snapshot cost) when the run used RunOptions.Recover.
 	Regions []RegionStats
-	// Comm holds the commutative privatizer's statistics when the
-	// transformation planted __comm_note markers (see
-	// expand.Options.Commutative); nil otherwise.
-	Comm *CommStats
-}
-
-// commClasses reports how many commutative classes the transformation
-// handed to the runtime privatizer.
-func (tr *TransformResult) commClasses() int {
-	n := 0
-	for _, r := range tr.Reports {
-		n += r.CommClasses
-	}
-	return n
 }
 
 // GuardedRunPrecompiled executes a transformed program under the
@@ -78,12 +60,6 @@ func (tr *TransformResult) commClasses() int {
 //     the native program re-executes sequentially — correct, but
 //     O(program) cost for an O(region) fault.
 //
-// If the transformation planted commutative-privatization markers
-// (expand.Options.Commutative), the commutative runtime is attached:
-// reduction-shaped accumulators get per-thread identity-initialized
-// copies merged at region exit, so their carried flow never reaches
-// the monitor.
-//
 // Caller-supplied opts.Hooks are chained after the monitor's hooks
 // (monitor first), so both observe the run; on the whole-program
 // fallback the caller's hooks observe the sequential re-execution
@@ -96,38 +72,21 @@ func GuardedRunPrecompiled(native *Program, tr *TransformResult, exp *Program, o
 		return nil, fmt.Errorf("gdsx: guarded execution needs the native program, its transform result and the compiled expansion")
 	}
 	own := opts.poolArena()
-	res, err := guardedRun(native, tr, exp, opts)
+	res, err := guardedRun(native, exp, opts)
 	putArena(own)
 	return res, err
 }
 
 // guardedRun is GuardedRunPrecompiled with opts.Memory set.
-func guardedRun(native *Program, tr *TransformResult, exp *Program, opts RunOptions) (*GuardedResult, error) {
+func guardedRun(native *Program, exp *Program, opts RunOptions) (*GuardedResult, error) {
 	threads := opts.Threads
 	if threads <= 0 {
 		threads = 1
 	}
 	mon := guard.New(guard.Config{Threads: threads, Info: exp.Info, Obs: opts.Obs})
-	var comm *rtpriv.CommutativeRuntime
-	chained := opts.Hooks
-	if tr.commClasses() > 0 {
-		comm = rtpriv.NewCommutative()
-		chained = interp.ChainHooks(comm.Hooks(), chained)
-	}
 	gopts := opts
-	gopts.Hooks = interp.ChainHooks(mon.Hooks(), chained)
-	m := exp.NewMachine(gopts)
-	if comm != nil {
-		comm.Bind(m)
-	}
-	out, err := m.Run()
-	finish := func(res *GuardedResult) *GuardedResult {
-		if comm != nil {
-			s := comm.Stats()
-			res.Comm = &s
-		}
-		return res
-	}
+	gopts.Hooks = interp.ChainHooks(mon.Hooks(), opts.Hooks)
+	out, err := exp.NewMachine(gopts).Run()
 	if err == nil {
 		res := &GuardedResult{
 			Result:     out,
@@ -140,7 +99,7 @@ func guardedRun(native *Program, tr *TransformResult, exp *Program, opts RunOpti
 		for _, r := range out.Regions {
 			res.Recovered += r.Rollbacks
 		}
-		return finish(res), nil
+		return res, nil
 	}
 	var ve *guard.ViolationError
 	if !errors.As(err, &ve) {
@@ -161,10 +120,10 @@ func guardedRun(native *Program, tr *TransformResult, exp *Program, opts RunOpti
 	if serr != nil {
 		return nil, fmt.Errorf("gdsx: sequential re-execution after guard abort: %w", serr)
 	}
-	return finish(&GuardedResult{
+	return &GuardedResult{
 		Result:     seq,
 		Violation:  ve.Report,
 		Violations: mon.Reports(),
 		FellBack:   true,
-	}), nil
+	}, nil
 }

@@ -88,13 +88,6 @@ const (
 	// interleaved layout, 0 for bonded.
 	BExpandMalloc
 	BExpandNote
-	// BCommNote is the marker the expansion pass emits ahead of a
-	// parallel region for a commutative-update object (see
-	// internal/expand, Options.Commutative):
-	// __comm_note(base, span, esz, op) arms per-thread privatization of
-	// the span-byte object at base for the next region; elements are esz
-	// bytes and merge under op (see ddg.CommOp) at region exit.
-	BCommNote
 )
 
 // Symbol is the semantic object an identifier resolves to. Symbols are

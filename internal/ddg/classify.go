@@ -18,10 +18,11 @@ type Class struct {
 	// Commutative marks a shared class whose carried flow is entirely
 	// reduction-shaped: every site is a commutative update under the
 	// same operator (Options.CommSites) and every carried dependence
-	// incident to the class stays inside it — no outside access reads
-	// or writes the locations mid-loop. Such a class cannot be
-	// expanded, but each thread can update a private identity-
-	// initialized copy and merge at region exit.
+	// incident to the class stays inside it — no outside access the
+	// profile saw reads or writes the locations mid-loop. Such a class
+	// cannot be expanded, but each thread can update a private copy
+	// and the copies merge after the loop. The profile makes it a
+	// candidate only; expand's static checks decide.
 	Commutative bool
 	CommOp      CommOp
 }

@@ -3,10 +3,8 @@ package ddg
 // CommOp identifies the merge operator of a commutative-update access
 // class: reduction-shaped updates (sum/count accumulation, running
 // min/max) whose cross-iteration order does not affect the final
-// value, so each thread may apply them to a private identity-
-// initialized copy and the copies merge at region exit. The operator
-// codes travel through the __comm_note marker (see ast.BCommNote) as
-// plain integers.
+// value, so each thread may apply them to a private copy and the
+// copies merge after the loop (see internal/expand, comm.go).
 type CommOp int
 
 // Commutative merge operators. Only integer element types participate:
@@ -35,31 +33,4 @@ func (op CommOp) String() string {
 		return "max"
 	}
 	return "none"
-}
-
-// Identity returns the identity element of op for a signed integer
-// element of esz bytes: merging the identity into any value leaves the
-// value unchanged, so untouched cells of a private copy are no-ops at
-// merge time.
-func (op CommOp) Identity(esz int64) int64 {
-	switch op {
-	case CommMin:
-		// Largest representable value: min(x, id) == x.
-		return 1<<(esz*8-1) - 1
-	case CommMax:
-		// Smallest representable value: max(x, id) == x.
-		return -(1 << (esz*8 - 1))
-	}
-	return 0 // CommAdd
-}
-
-// Merge combines a shared value with a private copy's value under op.
-func (op CommOp) Merge(shared, priv int64) int64 {
-	switch op {
-	case CommMin:
-		return min(shared, priv)
-	case CommMax:
-		return max(shared, priv)
-	}
-	return shared + priv // CommAdd
 }

@@ -106,15 +106,14 @@ type Options struct {
 	// deterministic instruction counters.
 	GuardNotes bool
 
-	// Commutative enables runtime privatization of reduction-shaped
-	// classes (ddg.Class.Commutative): the accumulator is left
-	// unexpanded and a __comm_note(base, span, esz, op) marker is
-	// planted before the loop so the runtime's commutative privatizer
-	// can give each thread an identity-initialized copy and merge at
-	// region exit. Requires the classifier to have run with
-	// ddg.Options.CommSites populated, and the executing machine to
-	// bind the commutative runtime — without it the marker is inert and
-	// the carried flow remains (caught by guarded execution as before).
+	// Commutative privatizes reduction-shaped classes
+	// (ddg.Class.Commutative) that static checks prove are only ever
+	// updated in the loop: the loop's updates go to per-thread copies
+	// the pass allocates before it, and the copies merge into the
+	// accumulator after it (see comm.go). Requires the classifier to
+	// have run with ddg.Options.CommSites populated. A class that fails
+	// the checks keeps its carried flow, which guarded execution
+	// catches as before.
 	Commutative bool
 }
 
@@ -174,8 +173,8 @@ type Report struct {
 	// LayoutUsed is the copy layout actually applied (relevant for
 	// Adaptive).
 	LayoutUsed Layout
-	// CommClasses counts the commutative classes handed to the runtime
-	// privatizer; CommNotes describes the planted markers.
+	// CommClasses counts the privatized commutative classes;
+	// CommNotes describes each one.
 	CommClasses int
 	CommNotes   []string
 }
@@ -259,8 +258,10 @@ type pass struct {
 	clonePairs [][2]ast.Expr
 	// hoists holds the hoisted base computations (see hoist.go).
 	hoists map[hoistKey]*hoistInfo
-	// commPlans are the commutative-privatization markers to plant.
+	// commPlans are the commutative accumulators to privatize, and
+	// commSites their classes' sites, which need no ordered section.
 	commPlans []commPlan
+	commSites map[int]bool
 
 	// fat types per original pointee type string.
 	fatTypes map[string]*ctypes.Type
@@ -347,7 +348,7 @@ func (p *pass) run() error {
 	// Count Table 5 structures before any rewriting invalidates the
 	// type annotations countStructures relies on.
 	p.report.Structures = p.countStructures()
-	p.planCommNotes()
+	p.planComm()
 	if err := p.computePromotion(); err != nil {
 		return err
 	}
@@ -368,9 +369,7 @@ func (p *pass) run() error {
 	}
 	p.insertHoists()
 	p.applyReplacements()
-	if err := p.insertCommNotes(); err != nil {
-		return err
-	}
+	p.emitCommPlans()
 	for _, lc := range p.loops {
 		if lc.stmt.Par != ast.DOACROSS {
 			continue

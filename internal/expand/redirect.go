@@ -462,8 +462,8 @@ func (p *pass) placeSync(lc loopCtx) (bool, error) {
 		}
 		// Private sites never need ordering: redirected ones touch
 		// per-thread copies, and skipped ones touch iteration-fresh
-		// storage.
-		if cls.Private(site) {
+		// storage. Nor do privatized commutative updates.
+		if cls.Private(site) || p.commSites[site] {
 			continue
 		}
 		if g.HasCarried(site, ddg.Flow) ||

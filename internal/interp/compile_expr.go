@@ -1054,16 +1054,6 @@ func (c *compiler) compileBuiltin(x *ast.Call) cexpr {
 			}
 			return value{}
 		}
-	case ast.BCommNote:
-		a0, a1, a2, a3 := arg(0), arg(1), arg(2), arg(3)
-		return func(t *thread, f *frame) value {
-			t.counters[CatWork]++
-			base, span, esz, op := a0(t, f).I, a1(t, f).I, a2(t, f).I, a3(t, f).I
-			if h != nil && h.Commute != nil {
-				h.Commute(base, span, esz, op)
-			}
-			return value{}
-		}
 	case ast.BPrintInt, ast.BPrintLong:
 		a0 := arg(0)
 		return func(t *thread, f *frame) value {

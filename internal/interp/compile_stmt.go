@@ -456,7 +456,19 @@ func (c *compiler) compileFor(x *ast.For) cstmt {
 			}
 			return t.runParallelFor(f, par)
 		}
-		return seq(t, f)
+		if t.order == nil {
+			return seq(t, f)
+		}
+		// A parallel loop nested in a DOACROSS worker's iteration runs
+		// sequentially, so its ordered sections order nothing. Without
+		// the worker's order its __sync_wait/__sync_post do nothing
+		// (see syncWait), instead of acting on the outer region's
+		// ticket and the worker's posted and in-section state.
+		order := t.order
+		t.order = nil
+		cc := seq(t, f)
+		t.order = order
+		return cc
 	}
 }
 
@@ -510,10 +522,11 @@ func (c *compiler) compileSeqFor(x *ast.For) cstmt {
 			}
 			// A sequentially executed DOACROSS body still runs its
 			// SyncWait/SyncPost statements; they are no-ops without an
-			// order (syncWait checks t.order first). No bookkeeping may
-			// happen here: this path also executes nested parallel loops
-			// inside a worker's iteration, and touching t.curIter would
-			// corrupt the worker's ordered-section ticket.
+			// order (syncWait checks t.order first, and compileFor clears
+			// a worker's order around a nested parallel loop). No
+			// bookkeeping may happen here: this path also executes nested
+			// parallel loops inside a worker's iteration, and touching
+			// t.curIter would corrupt the worker's ordered-section ticket.
 			iter++
 			cc := body(t, f)
 			if cc == ctrlBreak {

@@ -24,14 +24,20 @@ type orderState struct {
 }
 
 // syncWait blocks until all earlier iterations have posted. Outside a
-// parallel DOACROSS execution it is a no-op.
+// parallel DOACROSS execution it is a no-op. A worker without an order
+// runs a DOALL body or a nested loop, whose sections order nothing, so
+// there it leaves the worker's state alone: marking its accesses as
+// ordered would hide their conflicts from the guard, which treats two
+// ordered accesses as serialized.
 func (t *thread) syncWait(pos token.Pos) {
 	if t.ts != nil {
 		t.ts.waitMark = t.counters[CatWork]
 		return
 	}
 	if t.order == nil {
-		t.inOrdered = true
+		if !t.parallel {
+			t.inOrdered = true
+		}
 		return
 	}
 	t.counters[CatSync]++
@@ -52,8 +58,10 @@ func (t *thread) syncPost(pos token.Pos) {
 		return
 	}
 	if t.order == nil {
-		t.posted = true
-		t.inOrdered = false
+		if !t.parallel {
+			t.posted = true
+			t.inOrdered = false
+		}
 		return
 	}
 	t.counters[CatSync]++

@@ -220,16 +220,5 @@ func ChainHooks(a, b *Hooks) *Hooks {
 			}
 		}
 	}
-	if a.Commute != nil || b.Commute != nil {
-		af, bf := a.Commute, b.Commute
-		c.Commute = func(base, span, esz, op int64) {
-			if af != nil {
-				af(base, span, esz, op)
-			}
-			if bf != nil {
-				bf(base, span, esz, op)
-			}
-		}
-	}
 	return c
 }

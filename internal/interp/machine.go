@@ -97,13 +97,6 @@ type Hooks struct {
 	// the per-copy size in bytes, esz the element size for interleaved
 	// layout (0 = bonded layout).
 	Expand func(base, span, esz int64)
-	// Commute observes the __comm_note markers the expansion pass emits
-	// for commutative-update objects: the span-byte object at base holds
-	// esz-byte integer elements whose cross-iteration updates commute
-	// under op (see ddg.CommOp). A privatization runtime arms per-thread
-	// copies for the next parallel region and merges them at region
-	// exit.
-	Commute func(base, span, esz, op int64)
 }
 
 // Access describes one observed memory access for Hooks.Observe.

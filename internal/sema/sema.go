@@ -134,8 +134,6 @@ func (c *checker) declareBuiltins() {
 	// Guarded-expansion markers (see ast.BExpandMalloc/BExpandNote).
 	decl("__expand_malloc", ast.BExpandMalloc, voidPtr, l, l)
 	decl("__expand_note", ast.BExpandNote, v, voidPtr, l, l)
-	// Commutative-update marker (see ast.BCommNote).
-	decl("__comm_note", ast.BCommNote, v, voidPtr, l, l, l)
 
 	c.info.TID = &ast.Symbol{Name: "__tid", Kind: ast.SymTID, Type: ctypes.IntType}
 	c.info.NTH = &ast.Symbol{Name: "__nthreads", Kind: ast.SymNTH, Type: ctypes.IntType}

@@ -169,10 +169,10 @@ int main() {
 // operations inside a DOALL loop. The carried flow on all three is
 // real — without commutative privatization a guarded run aborts (or
 // rolls back) every region — but every update commutes, so the
-// classifier marks the classes (Options.CommSites), the expansion
-// plants __comm_note markers, and the commutative runtime gives each
-// thread identity-initialized private copies merged at region exit:
-// the loop runs clean, parallel, and beats sequential execution.
+// classifier marks the classes (Options.CommSites), and the expansion
+// gives each thread private copies of the accumulators, merged after
+// the loop: the loop runs clean, parallel, and beats sequential
+// execution.
 // Profile and Expose are the same program: the point is not a hidden
 // dependence but a dependence expansion cannot remove. The kernel runs
 // REPS times (the accumulators keep growing; the checksum covers the
