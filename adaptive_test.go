@@ -102,6 +102,7 @@ func TestCommSiteDetection(t *testing.T) {
 		// location's type, and so does an unsigned comparison.
 		{`long hi; int main() { int v = 9; if (v > hi) hi = v; return 0; }`, ddg.CommMax, 2},
 		{`unsigned int hi; int main() { int v = 9; if (hi < v) hi = v; return 0; }`, ddg.CommMax, 2},
+		{`unsigned int hi; int main() { int v = 9; if (v > hi) hi = v; return 0; }`, ddg.CommMax, 2},
 		// Not an add: a floating value adds in floating point and
 		// truncates back on every update, so grouping changes the sum.
 		{`long t; int main() { t += 1.5; return 0; }`, ddg.CommAdd, 0},
@@ -112,7 +113,7 @@ func TestCommSiteDetection(t *testing.T) {
 		// effects (the stored value need not be the compared one).
 		{`long hi; int main() { long v = 9; if (v > hi) { hi = v; } else { hi = 0; } return 0; }`, ddg.CommMax, 0},
 		{`int hi; int main() { long v = 9; if (v > hi) hi = v; return 0; }`, ddg.CommMax, 0},
-		{`unsigned int hi; int main() { int v = 9; if (v > hi) hi = v; return 0; }`, ddg.CommMax, 0},
+		{`int hi; int main() { unsigned int v = 9; if (v > hi) hi = v; return 0; }`, ddg.CommMax, 0},
 		{`long hi; long n; long f() { n++; return n; } int main() { if (f() > hi) hi = f(); return 0; }`, ddg.CommMax, 0},
 	}
 	for _, c := range tagged {

@@ -48,3 +48,42 @@ func TestPipelineMismatchFails(t *testing.T) {
 		t.Fatalf("matching pipeline returned %v", err)
 	}
 }
+
+// chainSrc is a DOACROSS loop that updates a carried value and then
+// reads it again in a second statement.
+const chainSrc = `
+int a[2000];
+int out[2000];
+int main() {
+    int i;
+    int chain = 0;
+    long sum = 0;
+    for (i = 0; i < 2000; i++) {
+        a[i] = i * 7 + 3;
+    }
+    parallel doacross for (i = 0; i < 2000; i++) {
+        chain = chain * 31 + a[i];
+        out[i] = chain;
+    }
+    for (i = 0; i < 2000; i++) {
+        sum = sum + out[i] * (i + 1);
+    }
+    print_long(sum);
+    return 0;
+}
+`
+
+// TestPipelineOrderedReadMatches runs the guarded pipeline on chainSrc:
+// the ordered section must cover the second read, or an iteration can
+// read the next one's value, and some of the runs end MISMATCH.
+func TestPipelineOrderedReadMatches(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "chain.c")
+	if err := os.WriteFile(path, []byte(chainSrc), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for run := 0; run < 20; run++ {
+		if err := pipelineCmd([]string{"-guard", "-threads", "4", path}); err != nil {
+			t.Fatalf("run %d: %v", run, err)
+		}
+	}
+}

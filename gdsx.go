@@ -360,8 +360,18 @@ func (p *Program) NewMachine(opts RunOptions) *interp.Machine {
 // data dependence graph of the given loop plus the dynamic origins each
 // access touched.
 func (p *Program) ProfileLoop(loopID int, opts RunOptions) (*profile.Result, error) {
+	res, err := p.profileLoops([]int{loopID}, opts)
+	if err != nil {
+		return nil, err
+	}
+	return res[loopID], nil
+}
+
+// profileLoops profiles the given loops in one sequential run (see
+// profile.Loops), in a pooled arena or in opts.Memory.
+func (p *Program) profileLoops(ids []int, opts RunOptions) (map[int]*profile.Result, error) {
 	own := opts.poolArena()
-	res, err := profile.Loop(p.AST, p.Info, loopID, opts.interpOptions())
+	res, err := profile.Loops(p.AST, p.Info, ids, opts.interpOptions())
 	putArena(own)
 	return res, err
 }

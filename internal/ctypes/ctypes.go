@@ -256,7 +256,10 @@ func (t *Type) Equal(u *Type) bool {
 }
 
 // Common returns the usual-arithmetic-conversion result type of a
-// binary operation over a and b.
+// binary operation over a and b, whatever their order: an integer
+// operand narrower than int promotes to int, the higher-ranked operand
+// then gives the type, and at equal rank an unsigned operand makes the
+// result unsigned.
 func Common(a, b *Type) *Type {
 	rank := func(t *Type) int {
 		switch t.Kind {
@@ -275,18 +278,17 @@ func Common(a, b *Type) *Type {
 		}
 		return 0
 	}
-	hi := a
-	if rank(b) > rank(a) {
-		hi = b
-	}
-	// Integer ops are carried out in at least int width.
-	if hi.IsInteger() && rank(hi) < 4 {
-		if hi.Unsigned {
-			return UIntType
+	promote := func(t *Type) *Type {
+		if t.IsInteger() && rank(t) < 4 {
+			return IntType // every narrower type fits in int
 		}
-		return IntType
+		return t
 	}
-	return hi
+	a, b = promote(a), promote(b)
+	if ra, rb := rank(a), rank(b); rb > ra || rb == ra && b.Unsigned && !a.Unsigned {
+		return b
+	}
+	return a
 }
 
 // String renders the type in C-ish syntax.

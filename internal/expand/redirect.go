@@ -450,30 +450,46 @@ func (p *pass) checkInterleaved(apply bool) error {
 
 // placeSync inserts one DOACROSS loop's ordered section: the smallest
 // contiguous range of top-level body statements covering every shared
-// access involved in a residual loop-carried dependence is bracketed
-// with __sync_wait / __sync_post (§4.3).
+// access involved in a residual loop-carried dependence, and every
+// other access of its access class, is bracketed with __sync_wait /
+// __sync_post (§4.3).
 func (p *pass) placeSync(lc loopCtx) (bool, error) {
 	g, cls := lc.an.Graph, lc.an.Class
-	residual := map[int]bool{}
-	for site := range g.Sites {
+	orderable := func(site int) bool {
 		as := p.in.Info.Accesses[site]
-		if as == nil || as.IsDef || p.isControlSite(as) {
-			continue
-		}
 		// Private sites never need ordering: redirected ones touch
 		// per-thread copies, and skipped ones touch iteration-fresh
 		// storage. Nor do privatized commutative updates.
-		if cls.Private(site) || p.commSites[site] {
-			continue
-		}
-		if g.HasCarried(site, ddg.Flow) ||
+		return as != nil && !as.IsDef && !p.isControlSite(as) &&
+			!cls.Private(site) && !p.commSites[site]
+	}
+	residual := map[int]bool{}
+	var classes []*ddg.Class
+	for site := range g.Sites {
+		if orderable(site) && (g.HasCarried(site, ddg.Flow) ||
 			g.HasCarried(site, ddg.Anti) ||
-			g.HasCarried(site, ddg.Output) {
+			g.HasCarried(site, ddg.Output)) {
 			residual[site] = true
+			if c := cls.ClassOf(site); c != nil {
+				classes = append(classes, c)
+			}
 		}
 	}
 	if len(residual) == 0 {
 		return false, nil
+	}
+	// The profiler keeps only the latest reader of each byte, so a read
+	// of a value that a carried dependence orders can show only a
+	// loop-independent flow edge from the iteration's own write. That
+	// edge puts it in the write's access class (Definition 4), and it
+	// must read the value before the next iteration's write: order it
+	// too.
+	for _, c := range classes {
+		for _, site := range c.Sites {
+			if orderable(site) {
+				residual[site] = true
+			}
+		}
 	}
 
 	body, ok := lc.stmt.Body.(*ast.Block)

@@ -106,6 +106,32 @@ int main() {
 	}
 }
 
+// TestUsualArithmeticConversions pins C's usual arithmetic conversions
+// in comparisons, whatever the order of the operands: narrow integers
+// promote to signed int, and at equal rank an unsigned operand makes
+// the comparison unsigned.
+func TestUsualArithmeticConversions(t *testing.T) {
+	cases := []struct{ name, body, want string }{
+		{"mixed signedness and narrow operands", `
+    int v = -1; unsigned int u = 5; unsigned char a = 200; char b = -1;
+    print_int(v > u); print_int(u < v); print_int(a < b); print_int(b > a);`, "1100"},
+		{"unsigned char against unsigned short", `
+    unsigned char a = 200; unsigned short h = 100; char b = -1;
+    print_int(a > h); print_int(h < a); print_int(b < h); print_int(h > b);`, "1111"},
+		{"long against unsigned int", `
+    long l = -1; unsigned int u = 5; unsigned long ul = 5;
+    print_int(l < u); print_int(u > l); print_int(l > ul); print_int(ul < l);`, "1111"},
+	}
+	for _, tc := range cases {
+		for _, opt := range []OptLevel{OptNone, OptDefault} {
+			res := run(t, "int main() {"+tc.body+"\n    return 0;\n}", Options{Opt: opt})
+			if res.Output != tc.want {
+				t.Errorf("%s (opt %d): output %q, want %q", tc.name, opt, res.Output, tc.want)
+			}
+		}
+	}
+}
+
 func TestFloatOps(t *testing.T) {
 	res := run(t, `
 int main() {

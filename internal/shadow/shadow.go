@@ -20,14 +20,19 @@ type Page[C any] [PageSize]C
 // touch and live until Reset.
 type Table[C any] struct {
 	pages []*Page[C]
+	// fills holds the value of every cell of a page that a Fill
+	// covered whole before any access allocated it. The page allocates,
+	// filled with that value, on its first touch.
+	fills map[int64]C
 }
 
-// Page returns the page that shadows addr, allocating it (zeroed) on
-// first touch. The table grows by append, so a rising address frontier
-// costs amortized O(1) per page. Page calls no function, which keeps it
-// cheap enough to inline into the callers' per-byte loops: the guard's
-// replay looks up one cell per byte it checks, and an out-of-line call
-// there shows in its run time.
+// Page returns the page that shadows addr, allocating it on first
+// touch, zeroed or filled with the value a Fill recorded for it. The
+// table grows by append, so a rising address frontier costs amortized
+// O(1) per page. Page calls no function, which keeps it cheap enough to
+// inline into the callers' per-byte loops: the guard's replay looks up
+// one cell per byte it checks, and an out-of-line call there shows in
+// its run time.
 func (t *Table[C]) Page(addr int64) *Page[C] {
 	idx := addr >> PageBits
 	for idx >= int64(len(t.pages)) {
@@ -36,6 +41,11 @@ func (t *Table[C]) Page(addr int64) *Page[C] {
 	p := t.pages[idx]
 	if p == nil {
 		p = new(Page[C])
+		if c, ok := t.fills[idx]; ok {
+			for i := range p {
+				p[i] = c
+			}
+		}
 		t.pages[idx] = p
 	}
 	return p
@@ -49,5 +59,29 @@ func (t *Table[C]) Span(addr, end int64) []C {
 	return t.Page(addr)[off:min(PageSize, off+end-addr)]
 }
 
-// Reset drops every page, so every cell reads as zero again.
-func (t *Table[C]) Reset() { t.pages = nil }
+// Fill sets every cell of [addr, end) to c. A page the range covers
+// whole that is not yet allocated only records c, so filling a large
+// range costs what its pages are later touched, not its size.
+func (t *Table[C]) Fill(addr, end int64, c C) {
+	for addr < end {
+		idx := addr >> PageBits
+		if addr&PageMask == 0 && end-addr >= PageSize &&
+			(idx >= int64(len(t.pages)) || t.pages[idx] == nil) {
+			if t.fills == nil {
+				t.fills = map[int64]C{}
+			}
+			t.fills[idx] = c
+			addr += PageSize
+			continue
+		}
+		cs := t.Span(addr, end)
+		for i := range cs {
+			cs[i] = c
+		}
+		addr += int64(len(cs))
+	}
+}
+
+// Reset drops every page and every recorded fill, so every cell reads
+// as zero again.
+func (t *Table[C]) Reset() { t.pages, t.fills = nil, nil }

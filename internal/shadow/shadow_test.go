@@ -55,3 +55,41 @@ func TestSpanWalksPages(t *testing.T) {
 		}
 	}
 }
+
+func TestFillIsLazyOnWholePages(t *testing.T) {
+	var tab Table[cell]
+	pre := tab.Page(3 * PageSize) // allocated before the fill
+	pre[7] = cell{a: 9}
+	lo, hi := int64(PageSize-2), int64(6*PageSize+3)
+	v := cell{a: 5, b: 6}
+	tab.Fill(lo, hi, v)
+	// Pages 1, 2, 4 and 5 are covered whole and untouched: no page
+	// allocates for them until an access does.
+	for _, pg := range []int{1, 2, 4, 5} {
+		if pg < len(tab.pages) && tab.pages[pg] != nil {
+			t.Errorf("page %d allocated by a fill", pg)
+		}
+	}
+	for a := lo - 1; a <= hi; a++ {
+		want := cell{}
+		if a >= lo && a < hi {
+			want = v
+		}
+		if got := tab.Page(a)[a&PageMask]; got != want {
+			t.Fatalf("cell %d = %+v, want %+v", a, got, want)
+		}
+	}
+	if &tab.Page(3 * PageSize)[0] != &pre[0] {
+		t.Error("a fill replaced an allocated page")
+	}
+	tab.Fill(PageSize, 2*PageSize, cell{a: 1})
+	tab.Fill(4*PageSize, 5*PageSize, cell{a: 2})
+	tab.Reset()
+	tab.Fill(PageSize, 2*PageSize, cell{a: 3})
+	tab.Reset()
+	for _, a := range []int64{PageSize, 4 * PageSize} {
+		if got := tab.Page(a)[0]; got != (cell{}) {
+			t.Errorf("cell %d after Reset = %+v, want zero", a, got)
+		}
+	}
+}

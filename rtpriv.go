@@ -7,21 +7,19 @@ import (
 )
 
 // PrivateSites profiles every parallel loop of the program and returns
-// the union of its thread-private access sites per Definition 5. Each
-// loop is profiled in a pooled arena, or in opts.Memory, which it
-// resets between loops as Transform does.
+// the union of its thread-private access sites per Definition 5. The
+// loops are profiled in one run, in a pooled arena or in opts.Memory,
+// as Transform does.
 func (p *Program) PrivateSites(opts RunOptions) ([]int, error) {
+	loops := p.ParallelLoops()
+	prs, err := p.profileLoops(loops, opts)
+	if err != nil {
+		return nil, err
+	}
 	seen := map[int]bool{}
 	var out []int
-	for i, id := range p.ParallelLoops() {
-		if i > 0 && opts.Memory != nil {
-			opts.Memory.Reset() // the caller's arena holds the last loop's run
-		}
-		pr, err := p.ProfileLoop(id, opts)
-		if err != nil {
-			return nil, err
-		}
-		cls := ddg.Classify(pr.Graph, ddg.DefaultOptions())
+	for _, id := range loops {
+		cls := ddg.Classify(prs[id].Graph, ddg.DefaultOptions())
 		for _, s := range cls.PrivateSites() {
 			if as := p.Info.Accesses[s]; as != nil && as.IsDef {
 				continue

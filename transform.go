@@ -20,10 +20,10 @@ type TransformOptions struct {
 	Expand *expand.Options
 	// Classify tunes the Definition 5 classification.
 	Classify *ddg.Options
-	// ProfileOpts configure the profiling runs (memory size etc.).
-	// Each loop is profiled in a pooled arena, or in ProfileOpts.Memory
-	// when a caller that inspects or sizes the memory sets it: Transform
-	// resets that between loops and leaves the final Reset to the caller.
+	// ProfileOpts configure the profiling run (memory size etc.). Every
+	// loop without a graph in Graphs is profiled in one run, in a pooled
+	// arena, or in ProfileOpts.Memory when a caller that inspects or
+	// sizes the memory sets it; the caller then resets it after the call.
 	ProfileOpts RunOptions
 	// ProfileSource, when non-empty, is an alternate version of the
 	// program (typically a smaller input scale) used for the dependence
@@ -123,20 +123,21 @@ func Transform(p *Program, opts TransformOptions) (*TransformResult, error) {
 		profProg = pp
 	}
 
+	var profiled []int
+	for _, id := range loops {
+		if _, ok := opts.Graphs[id]; !ok {
+			profiled = append(profiled, id)
+		}
+	}
+	if len(profiled) > 0 {
+		if res.Profiles, err = profProg.profileLoops(profiled, opts.ProfileOpts); err != nil {
+			return nil, fmt.Errorf("gdsx: profiling loops %v: %w", profiled, err)
+		}
+	}
 	var las []expand.LoopAnalysis
 	for _, id := range loops {
-		var g *ddg.Graph
-		if user, ok := opts.Graphs[id]; ok {
-			g = user
-		} else {
-			if m := opts.ProfileOpts.Memory; m != nil && len(res.Profiles) > 0 {
-				m.Reset() // the caller's arena holds the last loop's run
-			}
-			pr, err := profProg.ProfileLoop(id, opts.ProfileOpts)
-			if err != nil {
-				return nil, fmt.Errorf("gdsx: profiling loop %d: %w", id, err)
-			}
-			res.Profiles[id] = pr
+		g := opts.Graphs[id]
+		if pr, ok := res.Profiles[id]; ok {
 			g = pr.Graph
 		}
 		res.Classes[id] = ddg.Classify(g, copts)
