@@ -2,11 +2,10 @@ package gdsx
 
 // End-to-end tests of the adaptive speculation ladder: guarded
 // recovery must keep a region that is not idempotent
-// sequential-identical; runtime re-expansion must resolve
-// copy-count-shaped violation patterns; and commutative-update
-// privatization must run reduction loops clean and parallel. Chaos
-// injection (FaultPlan) exercises the same ladder with synthetic
-// faults.
+// sequential-identical, and commutative-update privatization must run
+// reduction loops clean and parallel. Chaos injection (FaultPlan)
+// exercises the same ladder with synthetic faults. The narrowing of a
+// region that keeps failing is pinned in recover_test.go.
 
 import (
 	"fmt"
@@ -224,8 +223,8 @@ int main() {
 // a callee, through a pointer taken in main, or as a plain store. The
 // static checks must refuse to privatize the exposed accumulator, which
 // leaves its carried flow to the guard, and every run must print native
-// output: under AdaptiveRun, and guarded with Recover, at 1–8 threads,
-// under both schedulers and both optimization levels. The accumulator
+// output guarded with Recover, at 1–8 threads, under both schedulers
+// and both optimization levels. The accumulator
 // the branch does not touch passes the checks and is still privatized,
 // so rollbacks re-execute regions whose copies are live. The shared
 // accumulator races by design until the guard rolls the region back,
@@ -279,16 +278,7 @@ func TestCommutativeExposedMatchesNative(t *testing.T) {
 		for _, e := range optLevels {
 			for _, sc := range parityScheds {
 				for _, nt := range []int{1, 2, 4, 8} {
-					ropts := RunOptions{Threads: nt, Sched: sc.pol, Opt: e.opt}
-					ares, err := AdaptiveRun(prog, TransformOptions{ProfileSource: src(0)}, ropts)
-					if err != nil {
-						t.Fatalf("%s %s/%s threads=%d: adaptive run: %v", c.name, e.name, sc.name, nt, err)
-					}
-					if got := ares.Final.Result.Output; got != want.Output {
-						t.Fatalf("%s %s/%s threads=%d: adaptive output %q, want native %q",
-							c.name, e.name, sc.name, nt, got, want.Output)
-					}
-					ropts.Recover = &RecoverySpec{}
+					ropts := RunOptions{Threads: nt, Sched: sc.pol, Opt: e.opt, Recover: &RecoverySpec{}}
 					res, err := GuardedRunPrecompiled(prog, tr, tr.Expanded, ropts)
 					if err != nil {
 						t.Fatalf("%s %s/%s threads=%d: guarded run: %v", c.name, e.name, sc.name, nt, err)
@@ -536,94 +526,6 @@ func TestGuardedEscapeMatchesNative(t *testing.T) {
 				}
 			}
 		}
-	}
-}
-
-// TestAdaptiveReexpansion drives the window workload — violations
-// confined to one chunk-boundary-straddling window — through the
-// adaptive driver at 4 threads. The same site pair strikes on every
-// region execution, so the driver re-expands: the layout flip cannot
-// help (the window is a placement problem, not a layout problem), the
-// copy-count halving can — at 2 threads the window sits inside one
-// chunk and the region runs clean and parallel.
-func TestAdaptiveReexpansion(t *testing.T) {
-	a := workloads.AdversarialWindow()
-	prog, wantOut := adaptCompile(t, a)
-	res, err := AdaptiveRun(prog, TransformOptions{ProfileSource: a.Profile(workloads.Test)},
-		RunOptions{Threads: 4, Sched: SchedStatic})
-	if err != nil {
-		t.Fatalf("adaptive run: %v", err)
-	}
-	if res.Final.Result.Output != wantOut {
-		t.Fatalf("final output %q, want %q", res.Final.Result.Output, wantOut)
-	}
-	if res.Threads != 2 {
-		t.Fatalf("final copy count = %d, want 2 (halved from 4); decisions: %+v",
-			res.Threads, res.Reexpansions)
-	}
-	if res.Attempts != 3 {
-		t.Errorf("attempts = %d, want 3 (strike out, flip layout, halve copies)", res.Attempts)
-	}
-	if len(res.Reexpansions) != 2 {
-		t.Errorf("re-expansion decisions = %d, want 2: %+v", len(res.Reexpansions), res.Reexpansions)
-	}
-	if len(res.Final.Violations) != 0 {
-		t.Errorf("final attempt still violates: %v", res.Final.Violations)
-	}
-	if len(res.Strikes) != 0 {
-		t.Errorf("final attempt still strikes: %v", res.Strikes)
-	}
-}
-
-// TestAdaptiveRunCallerArena: every attempt after the first must start
-// from a Reset caller arena, so the final attempt's allocator stats are
-// those of a run on a fresh one.
-func TestAdaptiveRunCallerArena(t *testing.T) {
-	a := workloads.AdversarialWindow()
-	prog, _ := adaptCompile(t, a)
-	run := func(arena *Memory) *AdaptiveResult {
-		t.Helper()
-		res, err := AdaptiveRun(prog, TransformOptions{ProfileSource: a.Profile(workloads.Test)},
-			RunOptions{Threads: 4, Sched: SchedStatic, Memory: arena})
-		if err != nil {
-			t.Fatalf("adaptive run: %v", err)
-		}
-		return res
-	}
-	fresh, pooled := run(nil), run(NewMemory(0))
-	if pooled.Attempts != fresh.Attempts || pooled.Attempts < 2 {
-		t.Fatalf("attempts: caller arena %d, fresh %d (want equal and at least 2)",
-			pooled.Attempts, fresh.Attempts)
-	}
-	if got, want := pooled.Final.Result.MemStats, fresh.Final.Result.MemStats; got != want {
-		t.Fatalf("final MemStats on a caller arena %+v, want the fresh arena's %+v", got, want)
-	}
-}
-
-// TestAdaptiveReexpandInjectedFailure checks the chaos hook on the
-// re-expansion path: with FaultPlan.FailReexpand every decision is
-// injected to fail, so the driver stops after the first attempt with
-// the failure recorded — and the output is still correct, because
-// each attempt's region recovery never depended on the adaptation.
-func TestAdaptiveReexpandInjectedFailure(t *testing.T) {
-	a := workloads.AdversarialWindow()
-	prog, wantOut := adaptCompile(t, a)
-	res, err := AdaptiveRun(prog, TransformOptions{ProfileSource: a.Profile(workloads.Test)},
-		RunOptions{Threads: 4, Sched: SchedStatic, FaultPlan: &FaultPlan{FailReexpand: 1}})
-	if err != nil {
-		t.Fatalf("adaptive run: %v", err)
-	}
-	if res.Final.Result.Output != wantOut {
-		t.Fatalf("final output %q, want %q", res.Final.Result.Output, wantOut)
-	}
-	if res.Attempts != 1 {
-		t.Errorf("attempts = %d, want 1 (re-expansion injected to fail)", res.Attempts)
-	}
-	if len(res.Reexpansions) != 1 || !res.Reexpansions[0].Failed {
-		t.Fatalf("want one failed re-expansion decision, got %+v", res.Reexpansions)
-	}
-	if !strings.Contains(res.Reexpansions[0].Reason, "fault plan") {
-		t.Errorf("failure reason %q does not name the fault plan", res.Reexpansions[0].Reason)
 	}
 }
 

@@ -18,11 +18,11 @@
 // Adding -recover upgrades the fallback to region-scoped rollback: the
 // violating (or faulting, or -region-timeout-exceeding) region alone
 // re-executes sequentially and the rest of the run stays parallel.
-// -adapt runs the whole adaptive ladder (gdsx.AdaptiveRun): recovery
-// and — on repeated violations at one site pair — runtime re-expansion
-// with a flipped copy layout or a halved copy count; with -metrics, the
-// ladder's strikes, re-expansions and final layout land in the
-// registry output.
+// Every rollback halves the workers the region runs on, and a region
+// down to one worker runs sequentially for the rest of the run.
+// -adapt is -guard -recover with commutative privatization: reduction
+// updates the profile proves safe get per-thread copies, merged after
+// the loop.
 package main
 
 import (
@@ -235,9 +235,8 @@ func pipelineCmd(args []string) error {
 		"with -guard: roll back and re-execute a violating region sequentially "+
 			"instead of discarding the whole run")
 	adapt := fs.Bool("adapt", false,
-		"adaptive guarded execution: region recovery and runtime re-expansion "+
-			"(layout flip, copy-count halving) on repeated violations at one "+
-			"site pair (implies -guard -recover)")
+		"-guard -recover with commutative privatization: reduction updates "+
+			"get per-thread copies, merged after the loop")
 	regionTimeout := fs.Duration("region-timeout", 0,
 		"with -recover: watchdog limit per parallel region (e.g. 500ms; 0 = unbounded)")
 	profileInput := fs.String("profile-input", "",
@@ -265,7 +264,14 @@ func pipelineCmd(args []string) error {
 	if err != nil {
 		return err
 	}
-	topts := gdsx.TransformOptions{Guard: *guarded}
+	var topts gdsx.TransformOptions
+	if *adapt {
+		*guarded, *recoverRegions = true, true
+		eopts := expand.Optimized()
+		eopts.Commutative = true
+		topts.Expand = &eopts
+	}
+	topts.Guard = *guarded
 	if *profileInput != "" {
 		psrc, err := os.ReadFile(*profileInput)
 		if err != nil {
@@ -274,7 +280,7 @@ func pipelineCmd(args []string) error {
 		topts.ProfileSource = string(psrc)
 	}
 	ropts := gdsx.RunOptions{Threads: *threads, Opt: opt, RegionTimeout: *regionTimeout}
-	if *recoverRegions && !*guarded && !*adapt {
+	if *recoverRegions && !*guarded {
 		return fmt.Errorf("-recover requires -guard")
 	}
 	if *recoverRegions {
@@ -289,49 +295,12 @@ func pipelineCmd(args []string) error {
 		// in Perfetto; a diagnostic pipeline run accepts their cost.
 		ropts.Obs.IterSpans = *traceOut != ""
 	}
-	var tr *gdsx.TransformResult
-	if !*adapt {
-		// The adaptive driver transforms internally (and re-transforms on
-		// a layout flip); transforming here would be wasted work.
-		tr, err = gdsx.Transform(prog, topts)
-		if err != nil {
-			return err
-		}
+	tr, err := gdsx.Transform(prog, topts)
+	if err != nil {
+		return err
 	}
 	var out gdsx.Result
-	if *adapt {
-		ares, aerr := gdsx.AdaptiveRun(prog, topts, ropts)
-		if aerr != nil {
-			return aerr
-		}
-		tr = ares.Transform
-		res := ares.Final
-		out = res.Result
-		fmt.Print(out.Output)
-		fmt.Fprintf(os.Stderr, "adapt: %d attempt(s), %d re-expansion(s); final: %s layout, "+
-			"%d copies, %d region recover(ies)\n",
-			ares.Attempts, len(ares.Reexpansions), ares.Layout, ares.Threads, res.Recovered)
-		for _, rx := range ares.Reexpansions {
-			if rx.Failed {
-				fmt.Fprintf(os.Stderr, "adapt: attempt %d: re-expansion failed: %s\n",
-					rx.Attempt, rx.Reason)
-				continue
-			}
-			fmt.Fprintf(os.Stderr, "adapt: attempt %d: loop %d %s sites %d-%d: "+
-				"%s -> %s at %d copies\n", rx.Attempt, rx.Loop, rx.Rule,
-				rx.Site, rx.OtherSite, rx.From, rx.To, rx.Threads)
-		}
-		if err := gdsx.RenderHealthReport(os.Stderr, res); err != nil {
-			return err
-		}
-		// Fold the ladder state into the run's registry: region health,
-		// residual strikes, re-expansion decisions — what -metrics renders.
-		if ropts.Obs != nil && ropts.Obs.Metrics != nil {
-			gdsx.PublishRegionStats(ropts.Obs.Metrics, res.Regions)
-			gdsx.PublishGuardReports(ropts.Obs.Metrics, res.Violations)
-			gdsx.PublishAdaptiveStats(ropts.Obs.Metrics, ares)
-		}
-	} else if *guarded {
+	if *guarded {
 		res, gerr := gdsx.GuardedRunPrecompiled(prog, tr, tr.Expanded, ropts)
 		if gerr != nil {
 			return gerr
@@ -374,9 +343,6 @@ func pipelineCmd(args []string) error {
 	kind := ""
 	if *guarded {
 		kind = "guarded "
-	}
-	if *adapt {
-		kind = "adaptive "
 	}
 	fmt.Fprintf(os.Stderr, "native vs %s%d-thread expanded: %s (%d structures expanded)\n",
 		kind, *threads, status, tr.Reports[0].Structures)

@@ -26,8 +26,7 @@
 // whole-program fallback on violating inputs and the snapshot cost on
 // clean ones; obs, the observability tiers on expanded parallel runs
 // and on gdsxd request batches (serve.Config.DisableObs vs default);
-// adapt, the re-expansion win and the commutative-privatization
-// speedup. A full run writes
+// adapt, the commutative-privatization speedup. A full run writes
 // BENCH_<family>.json, or -o with a single family. Measure at -scale
 // profile: guarded runs log every access, so bench-scale inputs need
 // gigabytes of log memory, and the checked-in files are at profile

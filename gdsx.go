@@ -110,8 +110,10 @@ type RunOptions struct {
 	// parallel region snapshots mutable machine state on entry, and a
 	// guard violation, worker fault or watchdog timeout rolls just that
 	// region back and re-executes it sequentially, letting the rest of
-	// the run keep its parallelism. &RecoverySpec{} selects the
-	// defaults; nil disables recovery.
+	// the run keep its parallelism. Each rollback halves the workers
+	// the region runs on, and a region down to one worker runs
+	// sequentially from then on. &RecoverySpec{} enables it; nil
+	// disables recovery.
 	Recover *RecoverySpec
 	// RegionTimeout bounds each parallel region's wall-clock time
 	// (0 = unbounded). With Recover set, a stuck region is rolled back
@@ -139,11 +141,11 @@ type RunOptions struct {
 	// Memory injects a caller-owned simulated memory (see NewMemory)
 	// for a caller that inspects or sizes the memory itself; without
 	// it a run takes a pooled MemSize arena, which is no slower. The
-	// caller must Reset its memory between runs; a call that runs the
-	// program more than once (the guarded whole-program fallback, each
-	// AdaptiveRun attempt after the first, each loop that Transform or
-	// PrivateSites profiles after the first) Resets it before each
-	// re-run. MemSize is ignored when Memory is set.
+	// caller must Reset its memory between runs. Every call runs the
+	// program once (Transform and PrivateSites profile all their loops
+	// in one run) except the guarded whole-program fallback, which
+	// Resets the memory before its sequential re-run. MemSize is
+	// ignored when Memory is set.
 	Memory *mem.Memory
 }
 

@@ -183,7 +183,7 @@ func (h *Harness) Measure(family string, quick bool) (*SuiteReport, error) {
 	case "obs":
 		suites, err = h.obsSuites(quick)
 	case "adapt":
-		suites, err = h.adaptSuites(quick)
+		suites, err = h.adaptSuites()
 	default:
 		return nil, fmt.Errorf("unknown suite %q", family)
 	}

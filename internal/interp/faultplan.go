@@ -2,25 +2,20 @@ package interp
 
 import "sync"
 
-// FaultPlan injects deterministic failures into the adaptive
-// speculation ladder, for chaos testing: the ladder must converge to a
-// correct (possibly sequential) execution no matter where forced
-// rollbacks or re-expansion failures land. All counters are 1-based
-// "every Nth" frequencies; 0 disables that injection. Injection points
-// are deterministic functions of region execution order, so a seeded
-// plan reproduces exactly.
+// FaultPlan injects deterministic failures into the recovery ladder,
+// for chaos testing: the ladder must converge to a correct (possibly
+// sequential) execution no matter where forced rollbacks land. The
+// counter is a 1-based "every Nth" frequency; 0 disables injection.
+// Injection points are deterministic functions of region execution
+// order, so a seeded plan reproduces exactly.
 //
 // Rollback injection piggybacks on the region-recovery machinery:
 // without Options.Recover it is inert.
 type FaultPlan struct {
 	// RollbackEvery forces a rollback (counted as a worker fault, with
-	// a demotion strike) on every Nth otherwise-successful parallel
-	// region execution.
+	// a strike that narrows the region) on every Nth
+	// otherwise-successful parallel region execution.
 	RollbackEvery int
-	// FailReexpand fails every Nth runtime re-expansion attempt
-	// (consumed by the adaptive driver in package gdsx, not by the
-	// machine).
-	FailReexpand int
 }
 
 // faultState tracks a machine's consumption of its FaultPlan. Regions

@@ -163,7 +163,8 @@ type Options struct {
 	// Recover enables region-scoped checkpoint/rollback recovery: each
 	// parallel region snapshots mutable state on entry, and a guard
 	// abort, worker fault or watchdog timeout rolls the region back and
-	// re-executes it sequentially instead of failing the run.
+	// re-executes it sequentially instead of failing the run. Each
+	// rollback halves the workers the region runs on (recover.go).
 	Recover *RecoverySpec
 	// RegionTimeout bounds each parallel region's wall-clock time
 	// (0 = unbounded). An expired watchdog cancels the workers; with
@@ -298,7 +299,7 @@ func New(prog *ast.Program, info *sema.Info, opts Options) *Machine {
 		m.mem.SetFailAlloc(opts.FailAlloc)
 	}
 	if opts.Recover != nil {
-		m.recovery = newRecoveryState(*opts.Recover, opts.Obs)
+		m.recovery = newRecoveryState(opts.NumThreads, opts.Obs)
 	}
 	if opts.FaultPlan != nil {
 		m.faults = &faultState{plan: *opts.FaultPlan}

@@ -147,7 +147,8 @@ type parFor struct {
 }
 
 // runParallelFor executes a parallel-annotated for loop with
-// N = Options.NumThreads simulated threads, one goroutine each.
+// N = Options.NumThreads simulated threads, one goroutine each (fewer
+// once region recovery has narrowed the region).
 // Dispatch follows Options.Sched: under the default SchedStealing,
 // DOALL loops run on per-worker work-stealing deques (see sched.go)
 // and DOACROSS loops self-schedule one iteration at a time from a
@@ -160,17 +161,19 @@ type parFor struct {
 // panics (Machine.Run unwraps them into errors); with it, a guard
 // abort, worker fault or watchdog timeout rolls the region back to its
 // entry snapshot and re-executes just this loop via seq, so the run
-// survives at O(region) cost. Neither path breaks or returns out of
-// the loop: sema rejects a break or return whose innermost loop is
-// parallel.
+// survives at O(region) cost, and halves the workers the region's next
+// execution runs on (see recover.go). Neither path breaks or returns
+// out of the loop: sema rejects a break or return whose innermost loop
+// is parallel.
 func (t *thread) runParallelFor(f *frame, p *parFor) ctrl {
 	x := p.x
 	rc := t.m.recovery
 	if rc == nil {
-		t.parallelAttempt(f, p)
+		t.parallelAttempt(f, p, t.m.opts.NumThreads)
 		return ctrlNext
 	}
-	if !rc.admit(x.ID) {
+	width := rc.admit(x.ID)
+	if width == 0 {
 		// Demoted: run sequentially without snapshot or region hooks.
 		return p.seq(t, f)
 	}
@@ -200,7 +203,7 @@ func (t *thread) runParallelFor(f *frame, p *parFor) ctrl {
 				panic(r)
 			}
 		}()
-		t.parallelAttempt(f, p)
+		t.parallelAttempt(f, p, width)
 	}()
 	if fail == nil && t.m.faults.injectRollback() {
 		// Chaos injection (Options.FaultPlan): an otherwise-committing
@@ -222,11 +225,12 @@ func (t *thread) runParallelFor(f *frame, p *parFor) ctrl {
 	return p.seq(t, f)
 }
 
-// parallelAttempt runs one parallel execution of the region. It
-// returns normally on success and panics on failure: interp.Abort for
-// a guard violation (raised by the monitor's safe-point hook),
-// regionFault for a contained worker fault or a watchdog timeout.
-func (t *thread) parallelAttempt(f *frame, p *parFor) {
+// parallelAttempt runs one parallel execution of the region on nt
+// workers. It returns normally on success and panics on failure:
+// interp.Abort for a guard violation (raised by the monitor's
+// safe-point hook), regionFault for a contained worker fault or a
+// watchdog timeout.
+func (t *thread) parallelAttempt(f *frame, p *parFor, nt int) {
 	x := p.x
 	if p.init != nil {
 		p.init(t, f)
@@ -234,7 +238,6 @@ func (t *thread) parallelAttempt(f *frame, p *parFor) {
 	lb := p.bounds(t, f)
 	iv := x.IndVar
 	ivAddr := t.symAddr(f, iv, x.Pos())
-	nt := t.m.opts.NumThreads
 	if h := t.m.opts.Hooks; h != nil && h.ParallelStart != nil {
 		h.ParallelStart(x.ID, nt)
 	}
@@ -262,7 +265,7 @@ func (t *thread) parallelAttempt(f *frame, p *parFor) {
 	}()
 
 	policy := t.m.opts.Sched
-	reg := &region{x: x, lb: lb, body: p.body}
+	reg := &region{x: x, lb: lb, body: p.body, nt: nt}
 	if x.Par == ast.DOACROSS && hasSyncStmts(x.Body) {
 		reg.order = &orderState{}
 	}
@@ -404,6 +407,7 @@ type region struct {
 	x    *ast.For
 	lb   loopBounds
 	body cstmt
+	nt   int // the workers the attempt runs on
 	// order is the ordered-section ticket of a DOACROSS loop with sync
 	// statements, nil otherwise.
 	order *orderState
@@ -436,7 +440,7 @@ func (w *thread) runWorker(r *region, f *frame) {
 	}
 	switch {
 	case w.m.opts.Sched == SchedStatic:
-		lo, hi := staticShare(w.tid, w.m.opts.NumThreads, r.lb.n)
+		lo, hi := staticShare(w.tid, r.nt, r.lb.n)
 		w.runIters(r, wf, lo, hi)
 	case r.steal != nil:
 		w.runStealing(r, wf)

@@ -20,33 +20,19 @@ import (
 // every expanded structure, so the re-execution reproduces native
 // sequential semantics exactly.
 //
-// A per-region health record adaptively demotes regions that keep
-// failing: after MaxStrikes recovered failures the region runs
-// sequentially without even attempting parallelism (and without
-// snapshot cost); a non-zero Cooldown re-promotes it for another try
-// after that many sequential executions.
+// A per-region health record narrows a region that keeps failing. The
+// region starts at NumThreads workers, and every recovered failure
+// halves its width; at one worker the region is demoted and runs
+// sequentially, without even a snapshot, for the rest of the run. The
+// width never grows. A narrowed region's workers use the first copies
+// of every expanded structure (the expanded program keeps its
+// NumThreads copies), so the copies above the width keep their initial
+// values, as they do on a sequential re-execution.
 
-// RecoverySpec configures region-scoped checkpoint/rollback recovery.
-// The zero value is a usable default (demote after 2 strikes, never
-// re-promote).
-type RecoverySpec struct {
-	// MaxStrikes demotes a region to sequential-only execution after
-	// this many recovered failures (default 2; 1 demotes on the first
-	// failure). Strikes accumulate over the run — they are not reset by
-	// successful parallel executions.
-	MaxStrikes int
-	// Cooldown re-promotes a demoted region after this many sequential
-	// executions, giving parallel execution another chance with one
-	// remaining strike (0 = demoted for the rest of the run).
-	Cooldown int
-}
-
-func (s RecoverySpec) maxStrikes() int {
-	if s.MaxStrikes <= 0 {
-		return 2
-	}
-	return s.MaxStrikes
-}
+// RecoverySpec enables region-scoped checkpoint/rollback recovery. It
+// has no fields: the ladder's only parameter is the machine's thread
+// count.
+type RecoverySpec struct{}
 
 // FailKind classifies why a parallel region was rolled back.
 type FailKind int
@@ -96,65 +82,53 @@ type RegionStats struct {
 	// no-violation path.
 	SnapshotPages int   `json:"snapshot_pages"`
 	SnapshotBytes int64 `json:"snapshot_bytes"`
-	// Demoted reports whether the region ended the run demoted;
-	// Repromotions counts cooldown-driven returns to parallel execution.
-	Demoted      bool   `json:"demoted"`
-	Repromotions int    `json:"repromotions"`
-	LastFailure  string `json:"last_failure,omitempty"`
+	// Demoted reports whether the region ended the run demoted.
+	Demoted     bool   `json:"demoted"`
+	LastFailure string `json:"last_failure,omitempty"`
 }
 
 type regionHealth struct {
-	stats    RegionStats
-	strikes  int
-	cooldown int
+	stats RegionStats
+	// width is the number of workers the region runs on until it is
+	// demoted.
+	width int
 }
 
 // recoveryState is the per-machine recovery controller. Regions only
 // start on the spawning (main) thread, but the mutex keeps the
 // controller safe if that ever changes; it is taken once per region.
 type recoveryState struct {
-	spec    RecoverySpec
+	threads int           // the width every region starts at
 	o       *obs.Observer // nil when the run is unobserved
 	mu      sync.Mutex
 	regions map[int]*regionHealth
 }
 
-func newRecoveryState(spec RecoverySpec, o *obs.Observer) *recoveryState {
-	return &recoveryState{spec: spec, o: o, regions: map[int]*regionHealth{}}
+func newRecoveryState(threads int, o *obs.Observer) *recoveryState {
+	return &recoveryState{threads: threads, o: o, regions: map[int]*regionHealth{}}
 }
 
 func (rc *recoveryState) health(loop int) *regionHealth {
 	h := rc.regions[loop]
 	if h == nil {
-		h = &regionHealth{stats: RegionStats{Loop: loop}}
+		h = &regionHealth{stats: RegionStats{Loop: loop}, width: rc.threads}
 		rc.regions[loop] = h
 	}
 	return h
 }
 
-// admit decides whether the region may attempt parallel execution.
-// Demoted regions run sequentially until their cooldown (if any)
-// elapses; a re-promoted region gets one remaining strike, so another
-// failure demotes it again immediately.
-func (rc *recoveryState) admit(loop int) bool {
+// admit returns the number of workers the region may run on, or 0
+// when the region is demoted and runs sequentially.
+func (rc *recoveryState) admit(loop int) int {
 	rc.mu.Lock()
 	defer rc.mu.Unlock()
 	h := rc.health(loop)
 	if !h.stats.Demoted {
-		return true
+		return h.width
 	}
-	if rc.spec.Cooldown > 0 && h.cooldown <= 0 {
-		h.stats.Demoted = false
-		h.stats.Repromotions++
-		h.strikes = rc.spec.maxStrikes() - 1
-		rc.o.Counter("recover.repromotions").Inc()
-		rc.o.Emit(obs.Event{Name: "repromote", Ph: 'i', Loop: loop, Iter: -1})
-		return true
-	}
-	h.cooldown--
 	h.stats.SeqRuns++
 	rc.o.Counter("recover.seq_runs").Inc()
-	return false
+	return 0
 }
 
 func (rc *recoveryState) noteSuccess(loop int, pages int, bytes int64) {
@@ -199,14 +173,19 @@ func (rc *recoveryState) noteFailure(loop int, fail *regionFault, pages int, byt
 	rc.o.Counter("recover.seq_runs").Inc()
 	rc.o.Emit(obs.Event{Name: "rollback", Ph: 'i', Loop: loop, Iter: -1,
 		Label: fail.kind.String(), V1: int64(pages), V2: bytes})
-	h.strikes++
-	if h.strikes >= rc.spec.maxStrikes() {
-		h.stats.Demoted = true
-		h.cooldown = rc.spec.Cooldown
-		rc.o.Counter("recover.demotions").Inc()
-		rc.o.Emit(obs.Event{Name: "demote", Ph: 'i', Loop: loop, Iter: -1,
-			V1: int64(h.strikes)})
+	// The strike halves the width; a region left at one worker is
+	// demoted instead.
+	from := h.width
+	if h.width /= 2; h.width > 1 {
+		rc.o.Counter("recover.narrowings").Inc()
+		rc.o.Emit(obs.Event{Name: "narrow", Ph: 'i', Loop: loop, Iter: -1,
+			V1: int64(from), V2: int64(h.width)})
+		return
 	}
+	h.stats.Demoted = true
+	rc.o.Counter("recover.demotions").Inc()
+	rc.o.Emit(obs.Event{Name: "demote", Ph: 'i', Loop: loop, Iter: -1,
+		V1: int64(h.stats.Rollbacks)})
 }
 
 // snapshot returns the per-region stats sorted by loop ID.

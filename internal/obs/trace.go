@@ -64,7 +64,7 @@ var eventSchemas = map[string]eventSchema{
 	"checkpoint-commit": {v1: "pages", v2: "bytes"},
 	"rollback":          {v1: "pages", v2: "bytes"},
 	"demote":            {v1: "strikes", v1Canon: true, v2Canon: true},
-	"repromote":         {v1Canon: true, v2Canon: true},
+	"narrow":            {v1: "from", v2: "to", v1Canon: true, v2Canon: true},
 	"expand":            {v1: "base", v2: "span", v2Canon: true},
 	// A steal happens when one worker outpaces another — pure host
 	// scheduling. victim/count are real but unreproducible.

@@ -1,9 +1,6 @@
 package serve
 
-import (
-	"testing"
-	"time"
-)
+import "testing"
 
 // FuzzServeRequest holds ParseRequest to its contract: on any byte
 // sequence it returns exactly one of (request, error), never panics,
@@ -16,6 +13,8 @@ func FuzzServeRequest(f *testing.F) {
 	f.Add([]byte(`{"source":"x","options":{"guard":true,"fault_rollback_every":2}}`))
 	f.Add([]byte(`{"source":"x","options":{"mem_limit":-1}}`))
 	f.Add([]byte(`{"source":"x","options":{"timeout_ms":999999999}}`))
+	// time.Duration(9223372036855) * time.Millisecond wraps negative.
+	f.Add([]byte(`{"source":"x","options":{"timeout_ms":9223372036855}}`))
 	f.Add([]byte(`{`))
 	f.Add([]byte(`null`))
 	f.Add([]byte(`[]`))
@@ -48,7 +47,7 @@ func FuzzServeRequest(f *testing.F) {
 		if o.MaxOps < 1 || o.MaxOps > lim.MaxOps {
 			t.Fatalf("accepted max_ops %d", o.MaxOps)
 		}
-		if o.TimeoutMs < 1 || time.Duration(o.TimeoutMs)*time.Millisecond > lim.MaxTimeout {
+		if o.TimeoutMs < 1 || o.TimeoutMs > lim.MaxTimeout.Milliseconds() {
 			t.Fatalf("accepted timeout_ms %d", o.TimeoutMs)
 		}
 		if o.FaultRollbackEvery > 0 && !o.Guard {

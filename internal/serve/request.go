@@ -220,7 +220,9 @@ func ParseRequest(body []byte, lim Limits) (*Request, *Error) {
 	if o.MaxOps == 0 {
 		o.MaxOps = lim.MaxOps
 	}
-	if o.TimeoutMs < 0 || time.Duration(o.TimeoutMs)*time.Millisecond > lim.MaxTimeout {
+	// Compared in milliseconds: the product with time.Millisecond
+	// overflows for large values and can wrap to a negative duration.
+	if o.TimeoutMs < 0 || o.TimeoutMs > lim.MaxTimeout.Milliseconds() {
 		return nil, errf(CodeBadReq, "timeout_ms %d out of range [0, %d]",
 			o.TimeoutMs, lim.MaxTimeout.Milliseconds())
 	}

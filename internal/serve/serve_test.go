@@ -245,6 +245,8 @@ func TestStructuredErrors(t *testing.T) {
 		{"no source", `{}`, 400, CodeBadReq},
 		{"bad engine", `{"source":"int main(){return 0;}","options":{"engine":"jit"}}`, 400, CodeBadReq},
 		{"bad threads", `{"source":"int main(){return 0;}","options":{"threads":9999}}`, 400, CodeBadReq},
+		// In nanoseconds this timeout wraps to a negative duration.
+		{"timeout overflow", `{"source":"int main(){return 0;}","options":{"timeout_ms":9223372036855}}`, 400, CodeBadReq},
 		// Unknown fields are refused, not dropped: a dropped option
 		// would run with its default (unguarded, no fault plan).
 		{"misspelt option", `{"source":"int main(){return 0;}","options":{"gaurd":true}}`, 400, CodeBadReq},

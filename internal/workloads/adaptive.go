@@ -1,8 +1,8 @@
 package workloads
 
 // Workloads for the adaptive speculation ladder: guarded recovery of a
-// region that is not idempotent, runtime re-expansion, and
-// commutative-update privatization. Unlike AdversarialAll's programs
+// region that is not idempotent, the narrowing of a region that keeps
+// failing, and commutative-update privatization. Unlike AdversarialAll's programs
 // these are not in the plain guard-evaluation set — their violation
 // patterns are scheduler-placement-dependent (window) or one access
 // per region execution (escape), so the tests that drive them pin the
@@ -28,9 +28,11 @@ func AdaptiveAll() []*Adversarial {
 // a stale-copy-read. A guarded run with region recovery must catch,
 // roll back and re-execute every violating execution; one that lets a
 // single violating execution commit prints a different checksum from
-// native. VIOL lies in thread nt/2's static share for the tested
-// thread counts, so it runs off thread 0 — whose copy is the shared
-// one and would read the right value — unless a thief takes it.
+// native. VIOL = N/2 is the first iteration of thread nt/2's static
+// share at 2, 4 and 8 threads (and at the widths 4 and 2 that region
+// recovery narrows 8 threads to). Work stealing pins a worker's first
+// iteration to it, so VIOL always runs off thread 0, whose copy is the
+// shared one and would read the right value.
 func AdversarialEscape() *Adversarial {
 	return &Adversarial{
 		Name:    "adversarial-escape",
@@ -41,7 +43,7 @@ func AdversarialEscape() *Adversarial {
 
 func escapeSource(s Scale, stride int) string {
 	n := pick(s, 96, 192, 4096)
-	return sprintf(escapeTemplate, n, stride, n/2+1)
+	return sprintf(escapeTemplate, n, stride, n/2)
 }
 
 // Template parameters: %[1]d = iterations, %[2]d = exposing switch,
@@ -94,18 +96,18 @@ int main() {
 `
 
 // AdversarialWindow confines its violations to one eight-iteration
-// window, making them a function of the copy count — the scenario
-// runtime re-expansion's copy-count move resolves. Iterations in
+// window, making them a function of the number of workers — the
+// scenario region recovery's narrowing resolves. Iterations in
 // [N/4, N/4+8) read the neighbouring scratch slot, whose sequential
-// source is iteration i-7. Under SchedStatic with 4+ threads the
-// window straddles a chunk boundary, so the source's write landed in
-// another thread's copy: carried-flow and stale-copy-read violations
-// at the same site pair, every region execution. With 2 threads the
-// whole window and all its sources sit inside thread 0's chunk — the
-// reads see their own copy's in-order writes, and the region is both
-// clean and sequentially correct. An adaptive driver that halves the
-// copy count after repeated same-pair strikes converts a
-// demote-to-sequential region into a clean 2-thread parallel one.
+// source is iteration i-7. With 4 or 8 workers the window starts a
+// share, so the source's write landed in another thread's copy:
+// carried-flow and stale-copy-read violations at the same site pair,
+// every region execution. With 2 workers the whole window and all its
+// sources sit inside thread 0's share (a thief never takes iterations
+// below its own) — the reads see their own copy's in-order writes, and
+// the region is both clean and sequentially correct. Each rollback
+// halves the region's workers, so a guarded run with recovery settles
+// into a clean 2-worker parallel region instead of a demoted one.
 func AdversarialWindow() *Adversarial {
 	return &Adversarial{
 		Name:    "adversarial-window",
@@ -130,8 +132,8 @@ int S = %[2]d;
 
 // Heap scratch, touched only inside the parallel loop (never
 // initialized outside it — every in-region read's source is an
-// in-region write), so the re-expansion layout flip
-// (bonded -> interleaved) is applicable to it.
+// in-region write), so both copy layouts (bonded and interleaved)
+// apply to it.
 long *tmp;
 
 void kernel(long *out) {

@@ -13,6 +13,7 @@ package gdsx
 import (
 	"fmt"
 	"reflect"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -145,10 +146,12 @@ func guardVerdicts(o *Observer) []string {
 
 // TestObsGuardedParity extends event-stream parity to guarded runs
 // with recovery on the multi-region adversarial program: guard
-// verdicts, rollbacks and checkpoint commits must appear identically
-// with the optimization pipeline off and on. A verdict's violation
-// total depends on which iterations share a worker, so it is only
-// pinned under static scheduling, where the placement is fixed.
+// verdicts, rollbacks, checkpoint commits and the recovery ladder's
+// step must appear identically with the optimization pipeline off and
+// on. The middle region's one rollback narrows it from 4 workers to 2,
+// and demotes it at 2. A verdict's violation total depends on which
+// iterations share a worker, so it is only pinned under static
+// scheduling, where the placement is fixed.
 func TestObsGuardedParity(t *testing.T) {
 	a := workloads.AdversarialMultiRegion()
 	native, err := Compile(a.Name+".c", a.Expose(workloads.Test))
@@ -201,6 +204,13 @@ func TestObsGuardedParity(t *testing.T) {
 			if !strings.Contains(joined, want) {
 				t.Fatalf("N=%d: guarded stream lacks %q events:\n%s", n, want, joined)
 			}
+		}
+		step := map[int]string{
+			4: "narrow/i loop=2 iter=-1 label= v1=4 v2=2",
+			2: "demote/i loop=2 iter=-1 label= v1=1 v2=0",
+		}[n]
+		if !slices.Contains(streams[0], step) {
+			t.Fatalf("N=%d: guarded stream lacks %q:\n%s", n, step, joined)
 		}
 
 		// Repeated static runs of both configurations must all reach

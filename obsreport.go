@@ -42,7 +42,6 @@ func PublishRegionStats(reg *Registry, regions []RegionStats) {
 		reg.Counter(p + "rollback_bytes").Add(r.RollbackBytes)
 		reg.Counter(p + "snapshot_pages").Add(int64(r.SnapshotPages))
 		reg.Counter(p + "snapshot_bytes").Add(r.SnapshotBytes)
-		reg.Counter(p + "repromotions").Add(int64(r.Repromotions))
 		demoted := int64(0)
 		if r.Demoted {
 			demoted = 1
@@ -62,28 +61,6 @@ func PublishGuardReports(reg *Registry, reports []*guard.Report) {
 			reg.Counter("guard.report.rule." + v.Rule).Inc()
 		}
 	}
-}
-
-// PublishAdaptiveStats folds an adaptive run's ladder state into the
-// registry: the per-site-pair strike tallies of the final attempt
-// ("adapt.strikes.<pair>"), the re-expansion count, and the chosen
-// layout/copy count.
-func PublishAdaptiveStats(reg *Registry, res *AdaptiveResult) {
-	if res == nil {
-		return
-	}
-	for pair, n := range res.Strikes {
-		reg.Counter("adapt.strikes." + pair).Add(int64(n))
-	}
-	reg.Counter("adapt.reexpansions").Add(int64(len(res.Reexpansions)))
-	for _, rx := range res.Reexpansions {
-		if rx.Failed {
-			reg.Counter("adapt.reexpand_failures").Inc()
-		}
-	}
-	reg.Gauge("adapt.attempts").Set(int64(res.Attempts))
-	reg.Gauge("adapt.threads").Set(int64(res.Threads))
-	reg.Gauge("adapt.layout." + res.Layout).Set(1)
 }
 
 // RenderHealthReport renders a guarded run's per-region health records

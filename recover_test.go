@@ -3,15 +3,16 @@ package gdsx
 // End-to-end tests of region-scoped checkpoint/rollback recovery: a
 // violating region must be rolled back and re-executed sequentially
 // while the rest of the run keeps its parallelism, stuck regions must
-// be reclaimed by the watchdog, repeat offenders must be demoted, and
-// the whole-program fallback must keep caller hooks and disarm fault
-// injection.
+// be reclaimed by the watchdog, every rollback must halve the workers
+// the region runs on until it is demoted, and the whole-program
+// fallback must keep caller hooks and disarm fault injection.
 
 import (
 	"fmt"
 	"testing"
 	"time"
 
+	"gdsx/internal/expand"
 	"gdsx/internal/interp"
 	"gdsx/internal/workloads"
 )
@@ -128,8 +129,8 @@ func TestRecoverStuckRegionWatchdog(t *testing.T) {
 
 // demotionSource wraps a violating stencil kernel in an outer
 // sequential loop, so the same parallel region executes R times per
-// run and the recovery controller's strike/demotion/cooldown policy
-// becomes observable.
+// run and the recovery ladder's narrowing and demotion become
+// observable.
 func demotionSource(stride int) string {
 	return fmt.Sprintf(`
 int N = 96;
@@ -180,15 +181,15 @@ func demotionTransform(t *testing.T) (*Program, *TransformResult) {
 }
 
 // TestRecoverDemotion: a region violating on every parallel attempt
-// accumulates strikes and is demoted to sequential-only execution
-// after MaxStrikes, stopping the rollback churn for the remaining
-// outer iterations.
+// is narrowed from 4 workers to 2 by its first strike and demoted to
+// sequential-only execution by its second, stopping the rollback churn
+// for the remaining outer iterations.
 func TestRecoverDemotion(t *testing.T) {
 	native, tr := demotionTransform(t)
 	want := sequentialOutput(t, native)
 	res, err := GuardedRunPrecompiled(native, tr, tr.Expanded, RunOptions{
 		Threads: 4,
-		Recover: &RecoverySpec{MaxStrikes: 2},
+		Recover: &RecoverySpec{},
 	})
 	if err != nil {
 		t.Fatalf("guarded run: %v", err)
@@ -215,29 +216,60 @@ func TestRecoverDemotion(t *testing.T) {
 	}
 }
 
-// TestRecoverCooldownRepromotion: with a cooldown, a demoted region is
-// periodically re-promoted for another parallel attempt (with one
-// remaining strike), so a region whose violating phase ends could
-// regain its parallelism. Here the region always violates, so every
-// re-promotion costs exactly one more rollback before demoting again.
-func TestRecoverCooldownRepromotion(t *testing.T) {
-	native, tr := demotionTransform(t)
-	want := sequentialOutput(t, native)
-	res, err := GuardedRunPrecompiled(native, tr, tr.Expanded, RunOptions{
-		Threads: 4,
-		Recover: &RecoverySpec{MaxStrikes: 2, Cooldown: 2},
-	})
-	if err != nil {
-		t.Fatalf("guarded run: %v", err)
-	}
-	if res.FellBack || res.Result.Output != want {
-		t.Fatalf("fellback=%v output %q, want native %q", res.FellBack, res.Result.Output, want)
-	}
-	r := res.Regions[0]
-	// Runs 1,2: rollback+demote. Runs 3,4: cooldown. Run 5: re-promoted
-	// rollback, demote. Runs 6,7: cooldown. Run 8: re-promoted rollback.
-	if r.Repromotions != 2 || r.Rollbacks != 4 || r.SeqRuns != 8 {
-		t.Fatalf("unexpected cooldown stats: %+v", r)
+// TestRecoverNarrowsWindow drives the window workload, whose
+// violations sit in the eight iterations after the first quarter of
+// the loop: at 4 workers or more those straddle a share boundary, and
+// at 2 they lie inside worker 0's share, where the reads see their own
+// copy's writes in order. Each rollback halves the region's workers,
+// so the region reaches a clean 2-worker steady state in one run: at 4
+// threads after one rollback, at 8 after two. The program keeps its
+// copies for the configured thread count, under both schedulers, both
+// copy layouts and both optimization levels.
+func TestRecoverNarrowsWindow(t *testing.T) {
+	a := workloads.AdversarialWindow()
+	prog, want := adaptCompile(t, a)
+	for _, layout := range []expand.Layout{expand.Bonded, expand.Interleaved} {
+		eopts := expand.Optimized()
+		eopts.Layout = layout
+		tr, err := Transform(prog, TransformOptions{Guard: true,
+			ProfileSource: a.Profile(workloads.Test), Expand: &eopts})
+		if err != nil {
+			t.Fatalf("%s: transform: %v", layout, err)
+		}
+		if got := tr.Reports[0].LayoutUsed; got != layout {
+			t.Fatalf("transform used the %s layout, want %s", got, layout)
+		}
+		for _, lv := range optLevels {
+			for _, sc := range parityScheds {
+				for _, c := range []struct {
+					nt, rollbacks int
+					widths        []int // one per region execution
+				}{{4, 1, []int{4, 2, 2, 2}}, {8, 2, []int{8, 4, 2, 2}}} {
+					name := fmt.Sprintf("%s/%s/%s threads=%d", layout, lv.name, sc.name, c.nt)
+					var got []int // ParallelStart runs on the spawning thread only
+					res, err := GuardedRunPrecompiled(prog, tr, tr.Expanded, RunOptions{
+						Threads: c.nt, Sched: sc.pol, Opt: lv.opt, Recover: &RecoverySpec{},
+						Hooks: &interp.Hooks{ParallelStart: func(loop, n int) { got = append(got, n) }},
+					})
+					if err != nil {
+						t.Fatalf("%s: %v", name, err)
+					}
+					if res.Result.Output != want || res.FellBack {
+						t.Fatalf("%s: fellback=%v output %q, want native %q",
+							name, res.FellBack, res.Result.Output, want)
+					}
+					if fmt.Sprint(got) != fmt.Sprint(c.widths) {
+						t.Fatalf("%s: region widths %v, want %v", name, got, c.widths)
+					}
+					r := res.Regions[0]
+					if r.Rollbacks != c.rollbacks || res.Recovered != c.rollbacks ||
+						r.ParallelRuns != len(c.widths)-c.rollbacks || r.Demoted {
+						t.Fatalf("%s: want %d rollbacks, then parallel and not demoted: %+v",
+							name, c.rollbacks, r)
+					}
+				}
+			}
+		}
 	}
 }
 
