@@ -10,11 +10,11 @@ import (
 // TestGuardHeapPerLoggedAccess bounds the Go heap the guard monitor
 // spends per logged access: the TotalAlloc of a guarded run, minus that
 // of the same expansion run unguarded with Recover, over the run's
-// guard.events_logged. Each logged access costs a 16-byte record and a
-// 4-byte order-index entry; the rest is segment headers, shadow pages
-// and the page filter's stamps.
+// guard.events_logged. Each logged access costs an 8-byte record; the
+// rest is its share of segment headers, the order index (one entry per
+// 64 accesses), shadow pages and the page filter's stamps.
 func TestGuardHeapPerLoggedAccess(t *testing.T) {
-	const bound = 40 // bytes per logged access
+	const bound = 16 // bytes per logged access
 	for _, name := range []string{"456.hmmer", "dijkstra"} {
 		t.Run(name, func(t *testing.T) {
 			w := workloads.ByName(name)

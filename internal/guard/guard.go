@@ -17,13 +17,14 @@
 //
 // During a parallel region every thread appends its sited accesses to
 // a private log of fixed-size pooled chunks — the no-violation path
-// takes zero shared-cache-line writes. A logged access is one 16-byte
-// record (address, site, and the size packed with the store, definition
-// and ordered flags); the iteration and the thread are written once per
-// per-iteration segment header. At the region's end — the safe point —
-// the segment headers are sorted into iteration order (reconstructing
-// the sequential schedule, under any scheduling policy), a 4-byte order
-// index maps every merged position to its segment, and the records are
+// takes zero shared-cache-line writes. A logged access is one 8-byte
+// record (a 32-bit address, and a 32-bit word packing the site, the
+// size and the store, definition and ordered flags); the iteration and
+// the thread are written once per per-iteration segment header. At the
+// region's end — the safe point — the segment headers are sorted into
+// iteration order (reconstructing the sequential schedule, under any
+// scheduling policy), an order index with one entry per ordBlock merged
+// positions finds each position's segment, and the records are
 // replayed in place against two byte-granular shadows:
 //
 //   - a canonical shadow, indexed by de-expanded addresses, which
@@ -124,7 +125,7 @@ type Monitor struct {
 	chunkPool [][]rec
 
 	// Replay scratch, reused across safe points: the merged segment
-	// table, the order index built from it, the working copy of the
+	// table, the order index over it (see segAt), the working copy of the
 	// region's notes, the page stamps of the read-only-page filter and
 	// the two shadows, whose epoch tag (shared with the page stamps)
 	// makes prior regions' contents invisible without clearing a byte.
@@ -146,30 +147,41 @@ type Monitor struct {
 	reports []*Report
 }
 
-// rec is one logged access in 16 bytes. meta packs the access size
-// above the store, definition and ordered flags; an access whose size
-// does not fit the packed field, or whose site does not fit site, has
-// recWide there and its site and size in the thread's side table. An
-// access of any size stays one record, because a report counts one
-// violation per access and rule.
+// rec is one logged access in 8 bytes: its address, and a word
+// packing, from the high bits down, the site, the size and the store,
+// definition and ordered flags. An access whose address, size or site
+// does not fit its field has recWide in the size field, and its
+// address, site and size in the thread's side table. An access of any
+// size stays one record, because a report counts one violation per
+// access and rule.
 type rec struct {
-	addr int64
-	site int32
+	addr uint32
 	meta uint32
 }
 
-// Record flags and the packed size field.
+// Record flags and the packed fields.
 const (
-	recStore   = 1 << 0
-	recDef     = 1 << 1
-	recOrdered = 1 << 2
-	recShift   = 3
-	recWide    = math.MaxUint32 >> recShift
+	recStore     = 1 << 0
+	recDef       = 1 << 1
+	recOrdered   = 1 << 2
+	recSizeShift = 3
+	recSizeBits  = 12
+	recSiteShift = recSizeShift + recSizeBits
+	recWide      = 1<<recSizeBits - 1       // the size field of a side-table record
+	recMaxSite   = 1<<(32-recSiteShift) - 1 // the largest site the site field holds
 )
 
-// wideAcc is a side-table entry: the site and size of a record whose
-// meta holds recWide.
+// size returns the packed size field: the access size, or recWide.
+func (r rec) size() int64 { return int64(r.meta >> recSizeShift & recWide) }
+
+// site returns the packed site field, which is meaningless when the
+// size field holds recWide.
+func (r rec) site() int { return int(r.meta >> recSiteShift) }
+
+// wideAcc is a side-table entry: the address, site and size of a
+// record whose size field holds recWide.
 type wideAcc struct {
+	addr int64
 	site int
 	size int64
 }
@@ -189,7 +201,7 @@ type seg struct {
 	seq   int32
 }
 
-// logChunkCap is the record capacity of one log chunk (64 KiB).
+// logChunkCap is the record capacity of one log chunk (32 KiB).
 // Fixed-size chunks replace a growing slice so logging never pays the
 // copy-and-clear of slice growth: a full chunk is sealed and a fresh
 // one drawn from the pool. Every sealed chunk is full, so a thread's
@@ -325,13 +337,13 @@ func (m *Monitor) observe(ev interp.Access) {
 	if len(l.cur) == cap(l.cur) || ev.Iter != l.iter {
 		m.openSeg(l, ev.Iter)
 	}
-	r := rec{addr: ev.Addr, site: int32(ev.Site), meta: uint32(ev.Size) << recShift}
-	if uint64(ev.Size) >= recWide || int(r.site) != ev.Site {
+	r := rec{addr: uint32(ev.Addr), meta: uint32(ev.Site)<<recSiteShift | uint32(ev.Size)<<recSizeShift}
+	if uint64(ev.Addr) > math.MaxUint32 || uint64(ev.Size) >= recWide || uint(ev.Site) > recMaxSite {
 		if l.wide == nil {
 			l.wide = map[int32]wideAcc{}
 		}
-		l.wide[int32(l.count())] = wideAcc{site: ev.Site, size: ev.Size}
-		r.meta = recWide << recShift
+		l.wide[int32(l.count())] = wideAcc{addr: ev.Addr, site: ev.Site, size: ev.Size}
+		r = rec{meta: recWide << recSizeShift}
 	}
 	if ev.Store {
 		r.meta |= recStore

@@ -352,18 +352,22 @@ func TestReplayCounters(t *testing.T) {
 	}
 }
 
-// TestWideAccessIsOneRecord: an access whose size or site does not fit
-// the record keeps both in the side table, stays one record, and a
-// violation names its full site.
+// TestWideAccessIsOneRecord: an access whose address, size or site does
+// not fit the record keeps all three in the side table, stays one
+// record, and a violation names its full site.
 func TestWideAccessIsOneRecord(t *testing.T) {
 	m := New(Config{Threads: 2})
 	h := m.Hooks()
 	h.ParallelStart(1, 2)
 	big := access(10, 0x100000, recWide+7, 0, 0, false)
+	high := access(11, 1<<32+8, 4, 0, 0, true)
 	h.Observe(big)
+	h.Observe(high)
 	m.mergeLogs()
-	if got := m.accessAt(1); got != big {
-		t.Fatalf("wide access read back as %+v, want %+v", got, big)
+	for pos, want := range []interp.Access{big, high} {
+		if got := m.accessAt(int32(pos + 1)); got != want {
+			t.Fatalf("wide access read back as %+v, want %+v", got, want)
+		}
 	}
 	h.ParallelCancel(1)
 

@@ -18,9 +18,16 @@ const (
 	areaCross    = 0x20000           // accesses straddling a page boundary
 	areaReadOnly = 0x40000           // two pages no store touches
 	areaNotes    = 0x80000 - 3*0x100 // expanded structures, the first near a page end
+	areaHigh     = 1<<32 - 24        // shared data straddling the record's address range
 
-	wideSite = int64(1)<<31 + 1<<12 // a site beyond the record's field
+	wideSite = int64(1)<<31 + 1<<12 // a site beyond int32
 )
+
+// fits reports whether an access fits a packed record; the others go
+// to the side table.
+func fits(ev interp.Access) bool {
+	return ev.Addr < 1<<32 && ev.Size < recWide && ev.Site <= recMaxSite
+}
 
 // synthNote is one expanded structure of a synthesized region.
 type synthNote struct{ base, span, esz int64 }
@@ -54,6 +61,11 @@ type synth struct {
 	// writes shared data only inside the ordered section.
 	disciplined bool
 	wrote       []int64 // own-copy addresses the current iteration stored
+
+	// high puts half the shared data around 4 GiB, where addresses
+	// outgrow the record's field; few monitors draw it, because the
+	// shadows' flat page tables then reach that far.
+	high bool
 }
 
 func (g *synth) size() int64 {
@@ -70,6 +82,8 @@ func (g *synth) size() int64 {
 		return 3
 	case r < 19:
 		return 16
+	case g.rng.Intn(40) == 0:
+		return recWide - 1 + g.rng.Int63n(3) // the largest packed size and past it
 	}
 	return int64(5 + g.rng.Intn(40))
 }
@@ -79,7 +93,8 @@ func (g *synth) access(tid int, iter int64, ordered bool) interp.Access {
 	rng := g.rng
 	ev := interp.Access{Site: 1 + rng.Intn(12), Tid: tid, Iter: iter, Ordered: ordered, Size: g.size()}
 	if rng.Intn(200) == 0 {
-		ev.Site = int(wideSite) + rng.Intn(3)
+		// The largest packed site, and sites past the field and int32.
+		ev.Site = []int{recMaxSite, recMaxSite + 1, int(wideSite)}[rng.Intn(3)] + rng.Intn(2)
 	}
 	kind := rng.Intn(100)
 	ev.Store = kind < 38
@@ -124,6 +139,9 @@ func (g *synth) access(tid int, iter int64, ordered bool) interp.Access {
 		}
 	case where < 70 && !(g.disciplined && !ordered):
 		ev.Addr = areaShared + rng.Int63n(48)
+		if g.high && rng.Intn(2) == 0 {
+			ev.Addr = areaHigh + rng.Int63n(48)
+		}
 	case where < 80:
 		ev.Addr = areaCross - 1 - rng.Int63n(6)
 		if g.disciplined {
@@ -200,11 +218,17 @@ func (g *synth) region() synthRegion {
 	doacross := rng.Intn(3) == 0
 	g.disciplined = rng.Intn(2) == 0
 	long := rng.Intn(200) == 0 // one iteration's log spans chunks
+	// Iterations of a blocky region log from half an order-index block
+	// to a few blocks each, so their segments straddle block edges.
+	blocky := rng.Intn(10) == 0
 	r.logs = make([][]interp.Access, g.nt)
 	for t, its := range order {
 		for _, it := range its {
 			g.wrote = g.wrote[:0]
 			k := rng.Intn(14)
+			if blocky {
+				k = ordBlock/2 + rng.Intn(3*ordBlock)
+			}
 			if long {
 				k, long = logChunkCap+rng.Intn(logChunkCap), false
 			}
@@ -234,8 +258,9 @@ func graph(rng *rand.Rand) map[int]*ddg.Graph {
 }
 
 // runLogs feeds per-thread logs through the monitor's hooks as one
-// region and returns the report of its safe point.
-func runLogs(m *Monitor, nt int, logs [][]interp.Access) (rep *Report) {
+// region and returns the report of its safe point and the number of
+// records the region kept in its side tables.
+func runLogs(m *Monitor, nt int, logs [][]interp.Access) (rep *Report, wide int) {
 	h := m.Hooks()
 	h.ParallelStart(1, nt)
 	for _, log := range logs {
@@ -243,13 +268,16 @@ func runLogs(m *Monitor, nt int, logs [][]interp.Access) (rep *Report) {
 			h.Observe(ev)
 		}
 	}
+	for _, l := range m.tlogs {
+		wide += len(l.wide)
+	}
 	defer func() {
 		if r := recover(); r != nil {
 			rep = r.(interp.Abort).Err.(*ViolationError).Report
 		}
 	}()
 	h.ParallelEnd(1)
-	return nil
+	return nil, wide
 }
 
 // TestReplayMatchesOracle feeds seeded synthesized regions to the
@@ -259,19 +287,22 @@ func runLogs(m *Monitor, nt int, logs [][]interp.Access) (rep *Report) {
 // threads; bonded and interleaved notes, freed and superseded notes,
 // and definitions that drop them; ordered sections; static, round-robin
 // and stolen placements with a thread's iterations out of order;
-// unaligned and page-crossing accesses; read-only pages; sites beyond
-// the record's field; and logs spanning several chunks.
+// unaligned and page-crossing accesses; read-only pages; addresses,
+// sizes and sites at and past the record's fields, which must take the
+// side table; segments shorter and longer than an order-index block;
+// and logs spanning several chunks.
 func TestReplayMatchesOracle(t *testing.T) {
 	const monitors = 5000 // 1-3 regions each
 	regions, violating, filtered := 0, 0, 0
 	rules := map[string]int{}
+	var wideAddr, wideSize, wideSite, shortSegs, longSegs int
 	for seed := int64(0); seed < monitors; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		nt := 1 + rng.Intn(8)
 		cfg := Config{Threads: nt, Graphs: graph(rng), MaxViolations: []int{0, 1, 3}[rng.Intn(3)]}
 		m := New(cfg)
 		var o oracle
-		g := &synth{rng: rng, nt: nt}
+		g := &synth{rng: rng, nt: nt, high: rng.Intn(150) == 0}
 		for k := 1 + rng.Intn(3); k > 0; k-- {
 			r := g.region()
 			h := m.Hooks()
@@ -281,12 +312,34 @@ func TestReplayMatchesOracle(t *testing.T) {
 			for _, n := range r.notes {
 				h.Expand(n.base, n.span, n.esz)
 			}
-			got := runLogs(m, nt, r.logs)
+			got, wide := runLogs(m, nt, r.logs)
 			want := o.replay(m, r.logs)
 			regions++
 			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("seed %d region %d: reports differ\nreplay: %s\noracle: %s",
 					seed, regions, describe(got), describe(want))
+			}
+			unfit := 0
+			for _, l := range r.logs {
+				for i, ev := range l {
+					if !fits(ev) {
+						unfit++
+					}
+					wideAddr += b2i(ev.Addr >= 1<<32)
+					wideSize += b2i(ev.Size >= recWide)
+					wideSite += b2i(ev.Site > recMaxSite)
+					if i == 0 || ev.Iter != l[i-1].Iter {
+						n := 1
+						for i+n < len(l) && l[i+n].Iter == ev.Iter {
+							n++
+						}
+						shortSegs += b2i(n < ordBlock)
+						longSegs += b2i(n > ordBlock)
+					}
+				}
+			}
+			if wide != unfit {
+				t.Fatalf("seed %d region %d: %d records in the side tables, want %d", seed, regions, wide, unfit)
 			}
 			if got != nil {
 				violating++
@@ -317,6 +370,20 @@ func TestReplayMatchesOracle(t *testing.T) {
 	if violating > regions*9/10 || filtered < regions/10 {
 		t.Errorf("degenerate mix: %d violating, %d filtered of %d", violating, filtered, regions)
 	}
+	// Every packed field must overflow, and segments must fall on both
+	// sides of an order-index block.
+	t.Logf("side-table accesses by address %d, size %d, site %d; segments of under %d accesses %d, over %d",
+		wideAddr, wideSize, wideSite, ordBlock, shortSegs, longSegs)
+	if min(wideAddr, wideSize, wideSite) < 100 || min(shortSegs, longSegs) < 1000 {
+		t.Error("the generator does not cover the packed fields' limits or the order index's blocks")
+	}
+}
+
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 func describe(r *Report) string {

@@ -38,12 +38,12 @@ type canCell struct {
 // into m.segs, sorts them by (iteration, thread, per-thread order) —
 // ties on iteration go to the lowest thread id — gives each segment
 // the merged position of its first record, and fills the order index
-// m.ord with the segment of every merged position. The per-thread
-// order seq records the thread's true program order: under work
-// stealing a thread may execute its iterations out of iteration order,
-// and the replay's same-thread serialization excuse must check the
-// order the thread actually ran, not the order the merge reconstructs.
-// It returns the number of records.
+// m.ord with the segment of every ordBlock-th merged position. The
+// per-thread order seq records the thread's true program order: under
+// work stealing a thread may execute its iterations out of iteration
+// order, and the replay's same-thread serialization excuse must check
+// the order the thread actually ran, not the order the merge
+// reconstructs. It returns the number of records.
 func (m *Monitor) mergeLogs() int {
 	segs := m.segs[:0]
 	total := 0
@@ -70,21 +70,38 @@ func (m *Monitor) mergeLogs() int {
 		return cmp.Compare(a.seq, b.seq)
 	})
 	ord := m.ord[:0]
-	if cap(ord) < total {
-		ord = make([]int32, 0, total)
-	}
-	ord = ord[:total]
 	pos := int32(0)
 	for i := range segs {
 		s := &segs[i]
 		s.pos = pos
-		for k := pos; k < pos+s.n; k++ {
-			ord[k] = int32(i)
-		}
 		pos += s.n
+		// ord[k] is the segment holding position k<<ordBits; every
+		// block start below pos not indexed yet lies in segment i.
+		for int32(len(ord))<<ordBits < pos {
+			ord = append(ord, int32(i))
+		}
 	}
 	m.segs, m.ord = segs, ord
 	return total
+}
+
+// The order index holds one entry per ordBlock merged positions.
+const (
+	ordBits  = 6
+	ordBlock = 1 << ordBits
+)
+
+// segAt returns the segment of 1-based merged position pos among segs,
+// whose order index is ord: the index names the segment of the first
+// position of pos's block, and the segments after it, sorted by
+// position, are scanned forward.
+func segAt(segs []seg, ord []int32, pos int32) *seg {
+	p := pos - 1
+	i := ord[p>>ordBits]
+	for segs[i].pos+segs[i].n <= p {
+		i++
+	}
+	return &segs[i]
 }
 
 // records returns segment s's records.
@@ -95,28 +112,28 @@ func (m *Monitor) records(s *seg) []rec {
 
 // recAt returns the record at 1-based merged position pos, which lies
 // in segment s, with its log and thread-local index.
-func (m *Monitor) recAt(s *seg, pos int32) (*tlog, int32, *rec) {
+func (m *Monitor) recAt(s *seg, pos int32) (*tlog, int32, rec) {
 	i := s.start + pos - 1 - s.pos
 	l := &m.tlogs[s.tid]
-	return l, i, &l.chunk(i)[i&(logChunkCap-1)]
+	return l, i, l.chunk(i)[i&(logChunkCap-1)]
 }
 
-// siteSize returns the site and size of thread-local record i.
-func (l *tlog) siteSize(i int32, r *rec) (int, int64) {
-	if r.meta>>recShift == recWide {
+// unpack returns the address, site and size of thread-local record i.
+func (l *tlog) unpack(i int32, r rec) (addr int64, site int, size int64) {
+	if r.size() == recWide {
 		w := l.wide[i]
-		return w.site, w.size
+		return w.addr, w.site, w.size
 	}
-	return int(r.site), int64(r.meta >> recShift)
+	return int64(r.addr), r.site(), r.size()
 }
 
 // accessAt rebuilds the access at 1-based merged position pos for a
 // violation report.
 func (m *Monitor) accessAt(pos int32) interp.Access {
-	s := &m.segs[m.ord[pos-1]]
+	s := segAt(m.segs, m.ord, pos)
 	l, i, r := m.recAt(s, pos)
-	site, size := l.siteSize(i, r)
-	return interp.Access{Site: site, Addr: r.addr, Size: size, Tid: int(s.tid), Iter: s.iter,
+	addr, site, size := l.unpack(i, r)
+	return interp.Access{Site: site, Addr: addr, Size: size, Tid: int(s.tid), Iter: s.iter,
 		Store: r.meta&recStore != 0, Def: r.meta&recDef != 0, Ordered: r.meta&recOrdered != 0}
 }
 
@@ -139,13 +156,12 @@ func (m *Monitor) stampWritten(notes []note, ep uint32) {
 // stampChunk stamps the pages of the stores and definitions of chunk c,
 // whose first record has thread-local index base.
 func (m *Monitor) stampChunk(l *tlog, base int32, c []rec, ep uint32) {
-	for i := range c {
-		r := &c[i]
+	for i, r := range c {
 		if r.meta&(recStore|recDef) == 0 {
 			continue
 		}
-		_, size := l.siteSize(base+int32(i), r)
-		m.stamp(r.addr, size, ep)
+		addr, _, size := l.unpack(base+int32(i), r)
+		m.stamp(addr, size, ep)
 	}
 }
 
@@ -205,6 +221,7 @@ func (m *Monitor) replay() *Report {
 	}
 	r := replayer{m: m, nt: m.cfg.Threads, ep: m.epoch, g: m.cfg.Graphs[m.loop],
 		notes: append(m.noteBuf[:0], m.regionNotes...), segs: m.segs, ord: m.ord}
+	r.last = &r.segs[0]
 	r.cur.reset()
 	m.stampWritten(r.notes, r.ep)
 	replayed := int64(0)
@@ -213,16 +230,15 @@ func (m *Monitor) replay() *Report {
 		l := &m.tlogs[s.tid]
 		e := event{first: s.pos + 1, tid: s.tid, iter: s.iter, seq: s.seq}
 		for j, rc := range m.records(s) {
-			e.site, e.size = int(rc.site), int64(rc.meta>>recShift)
+			e.addr, e.site, e.size = int64(rc.addr), rc.site(), rc.size()
 			if e.size == recWide {
-				e.site, e.size = l.siteSize(s.start+int32(j), &rc)
+				e.addr, e.site, e.size = l.unpack(s.start+int32(j), rc)
 			}
-			if rc.meta&(recStore|recDef) == 0 && !m.touched(rc.addr, e.size, r.ep) {
+			if rc.meta&(recStore|recDef) == 0 && !m.touched(e.addr, e.size, r.ep) {
 				continue
 			}
 			replayed++
 			e.id = s.pos + int32(j) + 1
-			e.addr = rc.addr
 			e.store, e.ordered = rc.meta&recStore != 0, rc.meta&recOrdered != 0
 			if rc.meta&recDef != 0 {
 				r.define(&e)
@@ -241,6 +257,7 @@ type replayer struct {
 	m     *Monitor
 	segs  []seg
 	ord   []int32
+	last  *seg   // the segment seg found last
 	notes []note // the region-start notes, minus those definitions dropped
 	cur   noteCursor
 	nt    int
@@ -268,7 +285,13 @@ func (e *event) access() interp.Access {
 }
 
 // seg returns the segment of 1-based merged position pos.
-func (r *replayer) seg(pos int32) *seg { return &r.segs[r.ord[pos-1]] }
+func (r *replayer) seg(pos int32) *seg {
+	if s := r.last; uint32(pos-1-s.pos) < uint32(s.n) {
+		return s
+	}
+	r.last = segAt(r.segs, r.ord, pos)
+	return r.last
+}
 
 // define replays a definition of fresh storage: it kills the byte
 // history and any stale expansion note the addresses shadow.
@@ -443,7 +466,7 @@ func (r *replayer) check(e *event, prev int32, kind int, a int64, inExp bool, fl
 		if e.ordered && pr.meta&recOrdered != 0 {
 			return // both inside the ordered section: serialized
 		}
-		if site, _ := l.siteSize(i, pr); r.g != nil && edgeProfiled(r.g, site, e.site, kind) {
+		if _, site, _ := l.unpack(i, pr); r.g != nil && edgeProfiled(r.g, site, e.site, kind) {
 			return // a dependence the profile already knew
 		}
 	}

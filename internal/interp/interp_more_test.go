@@ -1,6 +1,11 @@
 package interp
 
 import (
+	"fmt"
+	"os"
+	"os/exec"
+	"runtime"
+	"runtime/debug"
 	"strings"
 	"testing"
 	"time"
@@ -103,6 +108,70 @@ int main() { return g(); }`, "stack overflow (call depth 8193)"},
 				t.Fatalf("err = %v, want %q", err, tc.want)
 			}
 		})
+	}
+}
+
+// TestRunawayRecursionPeakRSS runs a parallel loop whose every
+// iteration recurses without end, sequentially and at 8 threads, in a
+// child process, and bounds the child's peak RSS. Each interpreted call
+// holds Go stack, and every worker running at once can reach the
+// call-depth bound, so the bound sets what such a program costs: a
+// bound of StackSize/8 alone (131,072 calls) lets the 8-thread run
+// peak above 1 GB. The child runs at GOMAXPROCS=2, because how many
+// workers recurse at once depends on the processors it has.
+func TestRunawayRecursionPeakRSS(t *testing.T) {
+	const src = `
+int g(int x) { return g(x + 1) + 1; }
+int main() {
+    int i;
+    int a[8];
+    parallel for (i = 0; i < 8; i++) { a[i] = g(i); }
+    return a[0];
+}`
+	if os.Getenv("GDSX_RUNAWAY_CHILD") == "1" {
+		for _, n := range []int{1, 8} {
+			fmt.Printf("threads %d: %v\n", n, runErr(t, src, Options{NumThreads: n}))
+		}
+		status, err := os.ReadFile("/proc/self/status")
+		if err != nil {
+			t.Fatal(err)
+		}
+		fmt.Printf("%s\n", status) // VmHWM is the peak RSS
+		return
+	}
+	if runtime.GOOS != "linux" {
+		t.Skip("reads the child's peak RSS from /proc")
+	}
+	if bi, ok := debug.ReadBuildInfo(); ok {
+		for _, s := range bi.Settings {
+			if s.Key == "-race" && s.Value == "true" {
+				t.Skip("the race detector's own memory exceeds the bound")
+			}
+		}
+	}
+	cmd := exec.Command(os.Args[0], "-test.run=^TestRunawayRecursionPeakRSS$", "-test.count=1")
+	cmd.Env = append(os.Environ(), "GDSX_RUNAWAY_CHILD=1", "GOMAXPROCS=2")
+	out, err := cmd.CombinedOutput()
+	if err != nil {
+		t.Fatalf("child: %v\n%s", err, out)
+	}
+	for _, n := range []int{1, 8} {
+		if want := fmt.Sprintf("threads %d: t.c:2:24: runtime error: stack overflow (call depth %d)", n, maxCallDepth+1); !strings.Contains(string(out), want) {
+			t.Errorf("child output lacks %q:\n%s", want, out)
+		}
+	}
+	const bound = 150 << 10 // KiB
+	var hwm int
+	i := strings.Index(string(out), "VmHWM:")
+	if i < 0 {
+		t.Fatalf("child output has no peak RSS:\n%s", out)
+	}
+	if _, err := fmt.Sscanf(string(out[i:]), "VmHWM: %d kB", &hwm); err != nil {
+		t.Fatalf("child peak RSS: %v", err)
+	}
+	t.Logf("child peak RSS %.1f MB", float64(hwm)/(1<<10))
+	if hwm > bound {
+		t.Errorf("child peak RSS %.1f MB, want at most %d MB", float64(hwm)/(1<<10), bound>>10)
 	}
 }
 

@@ -56,7 +56,7 @@ type thread struct {
 	// The frame stack (see pushFrame): depth live activation records,
 	// whose slot tables and register files are bump-allocated from
 	// slotBuf and regBuf at slotTop and regTop. maxDepth is the call
-	// depth bound, StackSize/8.
+	// depth bound, min(StackSize/8, maxCallDepth).
 	frames   []frame
 	depth    int
 	maxDepth int
@@ -73,6 +73,13 @@ type thread struct {
 	isMain bool
 }
 
+// maxCallDepth caps the call depth of every thread, sequential or
+// worker, so both fault at the same depth. Each interpreted call holds
+// about 1.7 KB of Go stack, so a runaway recursion costs a thread about
+// 14 MB before it faults, and every worker of a region that runs at
+// the time can be that deep at once.
+const maxCallDepth = 8192
+
 func (m *Machine) newThread(tid int) (*thread, error) {
 	base, err := m.mem.Alloc(m.opts.StackSize, 0, "stack")
 	if err != nil {
@@ -81,7 +88,7 @@ func (m *Machine) newThread(tid int) (*thread, error) {
 	return &thread{
 		m: m, tid: tid,
 		stackBase: base, sp: base, stackEnd: base + m.opts.StackSize,
-		maxDepth: int(m.opts.StackSize / 8),
+		maxDepth: int(min(m.opts.StackSize/8, maxCallDepth)),
 		isMain:   tid == 0 && !m.inParallel,
 	}, nil
 }
